@@ -40,7 +40,7 @@ from .contrast import (
     gradient,
     localization_from_observations,
 )
-from .models import generate_drift, lyapunov_stationary_cov
+from .models import GenerationError, generate_drift, lyapunov_stationary_cov
 from .simulate import (
     REGIME_TAGS,
     LevyRegime,
@@ -51,7 +51,7 @@ from .simulate import (
     empirical_trunc_moment,
     simulate_path,
 )
-from .solver import SolverConfig, TuningConfig, gamma_factor, solve, tune_lambdas
+from .solver import DivergenceError, SolverConfig, TuningConfig, gamma_factor, solve, tune_lambdas
 
 __all__ = [
     "Calibration",
@@ -401,26 +401,28 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
     """One replicate: generate, simulate, estimate, certify; returns a row."""
     start = time.perf_counter()
     seed = derive_seed(cfg.seed_base, "row", t, rep)
-    model = generate_drift(
-        cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
-        spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
-        sparse_magnitude=cfg.sparse_magnitude,
-    )
     pcfg = PathConfig(
         delta_n=cfg.delta_n,
         n_obs=max(int(round(t / cfg.delta_n)), 1),
         substeps=cfg.substeps,
         seed=derive_seed(seed, "path"),
     )
-    try:
-        obs = simulate_path(model, cfg.regime, pcfg)
-        loc, ctx = _build_localized_context(cfg, obs)
-    except (SimulationBlowupError, DegenerateLocalizationError) as exc:
-        return _failed_row(cfg, t, rep, seed, f"{type(exc).__name__}: {exc}")
-
     lambdas = tune_lambdas(cfg.d, t, calib.solver_tuning)
     cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
-    result = solve(ctx, lambdas, cfg.solver)
+    try:
+        model = generate_drift(
+            cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
+            spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
+            sparse_magnitude=cfg.sparse_magnitude,
+        )
+        obs = simulate_path(model, cfg.regime, pcfg)
+        loc, ctx = _build_localized_context(cfg, obs)
+        result = solve(ctx, lambdas, cfg.solver)
+    except (
+        GenerationError, SimulationBlowupError, DegenerateLocalizationError, DivergenceError
+    ) as exc:
+        return _failed_row(cfg, t, rep, seed, f"{type(exc).__name__}: {exc}")
+
     metrics = compute_error_metrics(model, result)
     cone = cone_membership(
         model.tangent, result.l_hat - model.l0, result.s_hat - model.s0

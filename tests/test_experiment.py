@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oudrift.cli as cli
+import oudrift.experiment as experiment
 from oudrift.experiment import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -15,9 +16,9 @@ from oudrift.experiment import (
     summarize,
     total_noise_cov,
 )
-from oudrift.models import generate_drift, lyapunov_stationary_cov
+from oudrift.models import GenerationError, generate_drift, lyapunov_stationary_cov
 from oudrift.simulate import LevyRegime, _sample_increments
-from oudrift.solver import SolverConfig, TuningConfig
+from oudrift.solver import DivergenceError, SolverConfig, TuningConfig
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -124,6 +125,39 @@ def test_run_experiment_flags_blowups_and_continues(tmp_path):
     assert len(rows) == cfg.replicates
     assert all(r["failed"] == "1" for r in rows)
     assert all("Blowup" in r["error"] for r in rows)
+
+
+def _raise_on_first_call(monkeypatch, name, exc):
+    real = getattr(experiment, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, patched)
+
+
+@pytest.mark.parametrize(
+    "name, exc",
+    [
+        ("generate_drift", GenerationError("no admissible draw")),
+        ("solve", DivergenceError("objective non-finite at iteration 3")),
+    ],
+)
+def test_run_experiment_flags_generation_and_divergence_errors(tmp_path, monkeypatch, name, exc):
+    _raise_on_first_call(monkeypatch, name, exc)
+    cfg = tiny_config(tmp_path)
+    path = run_experiment(cfg)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(cfg.t_sweep) * cfg.replicates
+    flagged = [r for r in rows if r["failed"] == "1"]
+    assert len(flagged) == 1
+    assert flagged[0]["error"].startswith(type(exc).__name__)
+    assert all(r["frob_err_sq"] for r in rows if r["failed"] == "0")
 
 
 def test_manifest_written_with_config(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,12 +123,77 @@ def test_increments_match_state_differences():
     np.testing.assert_array_equal(obs.increments, np.diff(obs.states, axis=0))
 
 
+def _stepwise_euler(model, regime, cfg, x0=None):
+    """Reference: one Euler step per substep, on the draws simulate_path makes."""
+    rng = np.random.default_rng(cfg.seed)
+    d, m = model.d, cfg.substeps
+    dt = cfg.delta_n / m
+    burn_time = cfg.burn_in_time
+    if burn_time is None:
+        burn_time = 10.0 / model.stability_margin
+    n_burn = int(round(burn_time / dt))
+    x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
+    if n_burn > 0:
+        for dz in _sample_increments(regime, dt, n_burn, d, rng):
+            x = x - (model.a0 @ x) * dt + dz
+    dz = _sample_increments(regime, dt, cfg.n_obs * m, d, rng)
+    states = [x]
+    for k in range(cfg.n_obs):
+        for j in range(m):
+            x = x - (model.a0 @ x) * dt + dz[k * m + j]
+        states.append(x)
+    return np.array(states)
+
+
+REGIMES_D4 = [
+    LevyRegime(tag="continuous", sigma=np.eye(4)),
+    LevyRegime(tag="bounded", sigma=0.5 * np.eye(4), jump_rate=1.0, jump_scale=0.4, z0=0.8),
+    LevyRegime(tag="subweibull", sigma=0.5 * np.eye(4), jump_rate=1.0, jump_scale=0.5, alpha=1.0),
+    LevyRegime(tag="polymoment", sigma=0.5 * np.eye(4), jump_rate=1.0, jump_scale=0.5, p=4.0),
+]
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 10])
+@pytest.mark.parametrize("regime", REGIMES_D4, ids=lambda r: r.tag)
+def test_path_matches_stepwise_euler(regime, substeps):
+    model = generate_drift(d=4, r=1, s=3, seed=5)
+    # 0.25 / (0.1 / m) steps of burn-in: not a multiple of m for m = 3, 10
+    cfg = PathConfig(delta_n=0.1, n_obs=60, substeps=substeps, burn_in_time=0.25, seed=31)
+    if substeps > 1:
+        assert int(round(0.25 / (0.1 / substeps))) % substeps != 0
+    obs = simulate_path(model, regime, cfg)
+    np.testing.assert_allclose(
+        obs.states, _stepwise_euler(model, regime, cfg), rtol=1e-12, atol=1e-12
+    )
+    injected = PathConfig(delta_n=0.1, n_obs=60, substeps=substeps, burn_in_time=0.0, seed=32)
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    obs = simulate_path(model, regime, injected, x0=x0)
+    np.testing.assert_array_equal(obs.states[0], x0)
+    np.testing.assert_allclose(
+        obs.states, _stepwise_euler(model, regime, injected, x0=x0), rtol=1e-12, atol=1e-12
+    )
+
+
 def test_simulation_blowup_raises():
     model = generate_drift(d=3, r=0, s=0, seed=0, spectral_floor=1.0)  # a0 = I
     regime = LevyRegime(tag="continuous", sigma=np.eye(3))
     cfg = PathConfig(delta_n=5.0, n_obs=2000, substeps=1, burn_in_time=0.0, seed=0)
-    with pytest.raises(SimulationBlowupError):
-        simulate_path(model, regime, cfg, x0=np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationBlowupError, match=r"at t=100 "):
+            simulate_path(model, regime, cfg, x0=np.ones(3))
+
+
+def test_simulation_blowup_in_burn_in_raises():
+    model = generate_drift(d=3, r=0, s=0, seed=0, spectral_floor=1.0)  # a0 = I
+    regime = LevyRegime(tag="continuous", sigma=np.eye(3))
+    # dt = 2.5 makes each step multiply by -1.5; 2001 steps overflow to inf,
+    # and the odd count leaves one step outside the pairs of substeps
+    cfg = PathConfig(delta_n=5.0, n_obs=10, substeps=2, burn_in_time=5002.5, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationBlowupError, match="burn-in"):
+            simulate_path(model, regime, cfg)
 
 
 def test_empirical_trunc_moment():
