@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
 import time
@@ -55,6 +56,7 @@ from .solver import DivergenceError, SolverConfig, TuningConfig, gamma_factor, s
 
 __all__ = [
     "Calibration",
+    "CalibrationError",
     "LocalizationRule",
     "ExperimentConfig",
     "RESULTS_SCHEMA_VERSION",
@@ -72,6 +74,13 @@ __all__ = [
 
 RESULTS_SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "OUDRIFT_OUT"
+
+logger = logging.getLogger(__name__)
+
+# Failures of one replicate (or calibration pilot): flagged, never fatal.
+_REPLICATE_ERRORS = (
+    GenerationError, SimulationBlowupError, DegenerateLocalizationError, DivergenceError
+)
 
 RESULT_COLUMNS = [
     "regime",
@@ -308,6 +317,27 @@ class Calibration:
     cert_tuning: TuningConfig
     solver_tuning: TuningConfig
     risk_multiplier: float
+    failed_pilots: tuple = ()  # ({"pilot", "seed", "error"}, ...) dropped pilots
+
+
+class CalibrationError(RuntimeError):
+    """Raised when every calibration pilot failed; carries the failures."""
+
+    def __init__(self, failed_pilots: tuple):
+        super().__init__(f"all {len(failed_pilots)} calibration pilots failed")
+        self.failed_pilots = failed_pilots
+
+
+def _error_message(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _uncalibrated(cfg: ExperimentConfig, failed_pilots: tuple = ()) -> Calibration:
+    """The configured constants, with gamma resolved; no pilots consulted."""
+    tun = replace(cfg.tuning, gamma_value=_resolved_gamma(cfg))
+    return Calibration(
+        cert_tuning=tun, solver_tuning=tun, risk_multiplier=1.0, failed_pilots=failed_pilots
+    )
 
 
 def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> Calibration:
@@ -319,32 +349,46 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     estimate's own sampling noise.  Stage 2 (when cfg.risk_calibration)
     rescales both constants by the multiplier minimizing the mean pilot
     squared error.
+
+    A pilot whose generation, simulation or localization fails is logged and
+    dropped (`failed_pilots`); a multiplier whose solve diverges on some pilot
+    scores infinite risk.  Raises CalibrationError when no pilot survives.
     """
     t = float(t_pilot if t_pilot is not None else max(cfg.t_sweep))
     gamma = _resolved_gamma(cfg)
     op_norms = []
     inf_norms = []
     pilots = []
+    failed = []
     for k in range(cfg.calibration_reps):
         seed = derive_seed(cfg.seed_base, "calibration", k)
-        model = generate_drift(
-            cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
-            spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
-            sparse_magnitude=cfg.sparse_magnitude,
-        )
         pcfg = PathConfig(
             delta_n=cfg.delta_n,
             n_obs=max(int(round(t / cfg.delta_n)), 1),
             substeps=cfg.substeps,
             seed=derive_seed(seed, "path"),
         )
-        obs = simulate_path(model, cfg.regime, pcfg)
-        _, ctx = _build_localized_context(cfg, obs)
+        try:
+            model = generate_drift(
+                cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
+                spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
+                sparse_magnitude=cfg.sparse_magnitude,
+            )
+            obs = simulate_path(model, cfg.regime, pcfg)
+            _, ctx = _build_localized_context(cfg, obs)
+        except _REPLICATE_ERRORS as exc:
+            message = _error_message(exc)
+            logger.warning("calibration pilot %d (seed %d) dropped: %s", k, seed, message)
+            failed.append({"pilot": k, "seed": seed, "error": message})
+            continue
         g = gradient(ctx, model.a0)
         sv = np.linalg.svd(g, compute_uv=False)
         op_norms.append(float(sv[0]))
         inf_norms.append(float(np.max(np.abs(g))))
         pilots.append((model, ctx))
+    failed = tuple(failed)
+    if not pilots:
+        raise CalibrationError(failed)
     q = cfg.calibration_quantile
     safety = cfg.calibration_safety
     q_op = float(np.quantile(op_norms, q))
@@ -365,7 +409,12 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
             lambdas = tune_lambdas(cfg.d, t, tun)
             risk = 0.0
             for model, ctx in pilots:
-                result = solve(ctx, lambdas, cfg.solver)
+                try:
+                    result = solve(ctx, lambdas, cfg.solver)
+                except DivergenceError as exc:
+                    logger.warning("calibration multiplier %g scored inf: %s", mult, exc)
+                    risk = math.inf
+                    break
                 diff = result.a_hat - model.a0
                 risk += float(np.sum(diff * diff))
             if risk < best_risk:
@@ -375,7 +424,8 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
         cert, c_op=cert.c_op * best_mult, c_one=cert.c_one * best_mult
     )
     return Calibration(
-        cert_tuning=cert, solver_tuning=solver_tuning, risk_multiplier=best_mult
+        cert_tuning=cert, solver_tuning=solver_tuning, risk_multiplier=best_mult,
+        failed_pilots=failed,
     )
 
 
@@ -418,10 +468,8 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
         obs = simulate_path(model, cfg.regime, pcfg)
         loc, ctx = _build_localized_context(cfg, obs)
         result = solve(ctx, lambdas, cfg.solver)
-    except (
-        GenerationError, SimulationBlowupError, DegenerateLocalizationError, DivergenceError
-    ) as exc:
-        return _failed_row(cfg, t, rep, seed, f"{type(exc).__name__}: {exc}")
+    except _REPLICATE_ERRORS as exc:
+        return _failed_row(cfg, t, rep, seed, _error_message(exc))
 
     metrics = compute_error_metrics(model, result)
     cone = cone_membership(
@@ -486,16 +534,21 @@ def run_experiment(
 
     The output directory resolves as: explicit `out_dir` argument, else the
     OUDRIFT_OUT environment variable, else cfg.output_dir.  Failed replicates
-    are flagged rows, never dropped.  Returns the results path.
+    are flagged rows, never dropped.  When every calibration pilot fails, the
+    sweep runs with the uncalibrated tuning (as with calibrate=False); the
+    manifest lists the failed pilots.  Returns the results path.
     """
     target = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
 
     if cfg.calibrate:
-        calib = calibrate_tuning(cfg)
+        try:
+            calib = calibrate_tuning(cfg)
+        except CalibrationError as exc:
+            logger.warning("%s; sweeping with the uncalibrated tuning", exc)
+            calib = _uncalibrated(cfg, exc.failed_pilots)
     else:
-        tun = replace(cfg.tuning, gamma_value=_resolved_gamma(cfg))
-        calib = Calibration(cert_tuning=tun, solver_tuning=tun, risk_multiplier=1.0)
+        calib = _uncalibrated(cfg)
 
     jobs = [(cfg, calib, t, rep) for t in cfg.t_sweep for rep in range(cfg.replicates)]
     if parallel > 1:
@@ -525,6 +578,7 @@ def run_experiment(
             "c_one": calib.cert_tuning.c_one,
         },
         "risk_multiplier": calib.risk_multiplier,
+        "calibration_failed_pilots": list(calib.failed_pilots),
     }
     with open(target / f"{cfg.name}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

@@ -212,11 +212,16 @@ def soft_threshold(m, lam: float) -> np.ndarray:
     return np.sign(m) * np.maximum(np.abs(m) - lam, 0.0)
 
 
-def singular_value_threshold(m, lam: float) -> np.ndarray:
-    """Shrink singular values by lam; prox of lam * nuclear norm."""
+def singular_value_threshold(m, lam: float, return_spectrum: bool = False):
+    """Shrink singular values by lam; prox of lam * nuclear norm.
+
+    With `return_spectrum`, also return the shrunk singular values; their sum
+    is the nuclear norm of the result, without a second SVD.
+    """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     m = as_matrix(m)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     s = np.maximum(s - lam, 0.0)
-    return (u * s) @ vt
+    out = (u * s) @ vt
+    return (out, s) if return_spectrum else out

@@ -11,6 +11,7 @@ sparse part, which keeps the low-rank factors and their tangent space exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -253,10 +254,23 @@ def estimate_incoherence(
     )
 
 
+_LYAPUNOV_MAX_ITERS = 100
+_LYAPUNOV_TOL = 1e-12
+
+
 def lyapunov_stationary_cov(a0, sigma_z) -> np.ndarray:
     """Solve a0 C + C a0^T = sigma_z for the stationary covariance C.
 
-    Dense Kronecker-vectorization solve; fine at desk scale (d <= 100).
+    Scaled Newton iteration for the matrix sign function (Roberts 1971, with
+    Byers' determinant scaling): from X = a0, Y = sigma_z, repeat
+
+        c = |det X|^(-1/d),  X <- (c X + X^-1 / c) / 2,
+                             Y <- (c Y + X^-1 Y X^-T / c) / 2
+
+    until X has converged to sign(a0) = I; then C = Y / 2.  Each step costs
+    one inverse and a few d x d products, O(d^3), and needs no eigenvectors,
+    so non-normal drifts are safe.  Convergence is quadratic once close:
+    about 7 steps on generated drifts, more as the stability margin shrinks.
     `sigma_z` is the instantaneous covariance of the driving noise.
     """
     a0 = as_matrix(a0)
@@ -267,10 +281,20 @@ def lyapunov_stationary_cov(a0, sigma_z) -> np.ndarray:
     eigs = np.linalg.eigvals(a0)
     if np.min(eigs.real) <= 0:
         raise ValueError("a0 is not stable; no stationary covariance exists")
-    eye = np.eye(d)
-    k = np.kron(eye, a0) + np.kron(a0, eye)  # column-major vec convention
-    c = np.linalg.solve(k, sigma_z.flatten(order="F")).reshape((d, d), order="F")
-    return (c + c.T) / 2.0
+    x, y = a0, sigma_z
+    for _ in range(_LYAPUNOV_MAX_ITERS):
+        x_inv = np.linalg.inv(x)
+        c = math.exp(-np.linalg.slogdet(x)[1] / d)
+        x_next = 0.5 * (c * x + x_inv / c)
+        y = 0.5 * (c * y + (x_inv @ y @ x_inv.T) / c)
+        step = np.linalg.norm(x_next - x, 1) / np.linalg.norm(x_next, 1)
+        x = x_next
+        if step <= _LYAPUNOV_TOL:
+            return (y + y.T) / 4.0
+    raise RuntimeError(
+        f"sign iteration did not converge in {_LYAPUNOV_MAX_ITERS} steps "
+        f"(last relative step {step:.3g})"
+    )
 
 
 def drift_model_to_dict(model: DriftModel) -> dict:

@@ -147,10 +147,13 @@ def _objective(ctx, l, s, lam_star, lam_one) -> float:
     return loss(ctx, l + s) + lam_star * nuclear_norm(l) + lam_one * l1_norm(s)
 
 
-def _prox_step(ctx, l_pt, s_pt, g, tau, lam_star, lam_one):
-    l_new = singular_value_threshold(l_pt - tau * g, tau * lam_star)
+def _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one):
+    """One prox-gradient step on both blocks; also returns ||l_new||_*."""
+    l_new, spectrum = singular_value_threshold(
+        l_pt - tau * g, tau * lam_star, return_spectrum=True
+    )
     s_new = soft_threshold(s_pt - tau * g, tau * lam_one)
-    return l_new, s_new
+    return l_new, s_new, float(np.sum(spectrum))
 
 
 def solve(
@@ -204,7 +207,7 @@ def solve(
             f_pt = loss(ctx, a_pt)
             g = gradient(ctx, a_pt)
             while True:
-                l_new, s_new = _prox_step(ctx, l_pt, s_pt, g, tau, lam_star, lam_one)
+                l_new, s_new, nuc_new = _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
                 dl = l_new - l_pt
                 ds = s_new - s_pt
                 f_smooth = loss(ctx, l_new + s_new)
@@ -218,7 +221,7 @@ def solve(
                 if f_smooth <= bound + 1e-14 * max(1.0, abs(bound)):
                     break
                 tau *= cfg.backtracking_factor
-            f_new = f_smooth + lam_star * nuclear_norm(l_new) + lam_one * l1_norm(s_new)
+            f_new = f_smooth + lam_star * nuc_new + lam_one * l1_norm(s_new)
             if f_new <= f_cur or not cfg.acceleration or (l_pt is l_cur and s_pt is s_cur):
                 accepted = True
                 break

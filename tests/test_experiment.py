@@ -17,7 +17,7 @@ from oudrift.experiment import (
     total_noise_cov,
 )
 from oudrift.models import GenerationError, generate_drift, lyapunov_stationary_cov
-from oudrift.simulate import LevyRegime, _sample_increments
+from oudrift.simulate import LevyRegime, SimulationBlowupError, _sample_increments
 from oudrift.solver import DivergenceError, SolverConfig, TuningConfig
 
 
@@ -160,6 +160,46 @@ def test_run_experiment_flags_generation_and_divergence_errors(tmp_path, monkeyp
     assert all(r["frob_err_sq"] for r in rows if r["failed"] == "0")
 
 
+def test_calibration_without_surviving_pilots_falls_back(tmp_path):
+    # every pilot (and every replicate) blows up on this mesh
+    cfg = tiny_config(
+        tmp_path, delta_n=50.0, substeps=1, t_sweep=(500.0,), calibrate=True, calibration_reps=3
+    )
+    path = run_experiment(cfg)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cfg.replicates
+    assert all(r["failed"] == "1" for r in rows)
+    manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+    failed = manifest["calibration_failed_pilots"]
+    assert [f["pilot"] for f in failed] == [0, 1, 2]
+    assert all(f["error"].startswith("SimulationBlowupError") for f in failed)
+    assert manifest["risk_multiplier"] == 1.0
+    assert manifest["tuning_used"]["c_op"] == cfg.tuning.c_op
+
+
+def test_calibration_drops_a_failed_pilot(tmp_path, monkeypatch):
+    _raise_on_first_call(monkeypatch, "simulate_path", SimulationBlowupError("pilot blew up"))
+    cfg = tiny_config(tmp_path, t_sweep=(20.0,), calibrate=True, calibration_reps=3)
+    path = run_experiment(cfg)
+    with open(path) as fh:
+        assert all(r["failed"] == "0" for r in csv.DictReader(fh))
+    manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+    failed = manifest["calibration_failed_pilots"]
+    assert len(failed) == 1 and failed[0]["pilot"] == 0
+
+
+def test_calibration_scores_a_diverging_multiplier_as_inf(tmp_path, monkeypatch):
+    # explicit lambdas make every multiplier's risk equal, so 1.0 would win the tie
+    _raise_on_first_call(monkeypatch, "solve", DivergenceError("objective non-finite"))
+    cfg = tiny_config(
+        tmp_path, t_sweep=(20.0,), calibrate=True, calibration_reps=2, risk_multipliers=(1.0, 0.5)
+    )
+    calib = experiment.calibrate_tuning(cfg)
+    assert calib.risk_multiplier == 0.5
+    assert calib.failed_pilots == ()
+
+
 def test_manifest_written_with_config(tmp_path):
     cfg = tiny_config(tmp_path)
     run_experiment(cfg)
@@ -167,6 +207,7 @@ def test_manifest_written_with_config(tmp_path):
     assert manifest["schema_version"] == 1
     assert config_to_dict(config_from_dict(manifest["config"])) == config_to_dict(cfg)
     assert manifest["risk_multiplier"] == 1.0
+    assert manifest["calibration_failed_pilots"] == []
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

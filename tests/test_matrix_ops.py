@@ -198,6 +198,14 @@ def test_singular_value_threshold_matches_bruteforce_oracle():
         assert np.max(np.abs(singular_value_threshold(m, lam) - oracle)) <= 1e-10
 
 
+def test_singular_value_threshold_spectrum_is_nuclear_norm():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((6, 6))
+    x, spectrum = singular_value_threshold(m, 0.7, return_spectrum=True)
+    np.testing.assert_array_equal(x, singular_value_threshold(m, 0.7))
+    assert float(np.sum(spectrum)) == pytest.approx(nuclear_norm(x), rel=1e-12)
+
+
 def test_nuclear_decomposability_inequality():
     rng = np.random.default_rng(8)
     for _ in range(20):

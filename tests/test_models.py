@@ -171,6 +171,57 @@ def test_lyapunov_rejects_unstable():
         lyapunov_stationary_cov(-np.eye(2), np.eye(2))
 
 
+def _kronecker_lyapunov(a, sigma):
+    """Oracle: the d^2 x d^2 vectorized balance (I kron A + A kron I) vec C = vec sigma."""
+    d = a.shape[0]
+    eye = np.eye(d)
+    k = np.kron(eye, a) + np.kron(a, eye)  # column-major vec convention
+    c = np.linalg.solve(k, sigma.flatten(order="F")).reshape((d, d), order="F")
+    return (c + c.T) / 2.0
+
+
+def _shifted_to_margin(m, margin):
+    return m + (margin - np.min(np.linalg.eigvals(m).real)) * np.eye(m.shape[0])
+
+
+def _lyapunov_case(name):
+    rng = np.random.default_rng(31)
+    if name == "random":
+        d = 30
+        a = _shifted_to_margin(rng.standard_normal((d, d)), 0.5)
+    elif name == "small_margin":
+        d = 30
+        a = _shifted_to_margin(rng.standard_normal((d, d)), 0.01)
+    else:  # strongly non-normal: rotated upper-triangular, eigenvector condition ~1e4
+        d = 12
+        t = np.triu(rng.standard_normal((d, d)), 1) + np.diag(np.linspace(0.5, 2.0, d))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = q @ t @ q.T
+    f = rng.standard_normal((d, d))
+    return a, f @ f.T
+
+
+@pytest.mark.parametrize("name", ["random", "small_margin", "non_normal"])
+def test_lyapunov_matches_kronecker_oracle(name):
+    a, sigma = _lyapunov_case(name)
+    if name == "non_normal":
+        assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e3
+    c = lyapunov_stationary_cov(a, sigma)
+    oracle = _kronecker_lyapunov(a, sigma)
+    assert np.linalg.norm(c - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+def test_lyapunov_d120_generated_drift():
+    # the Kronecker system at this size would be a 14400 x 14400 matrix (1.7 GB)
+    model = generate_drift(d=120, r=2, s=120, seed=3, spectral_floor=0.5)
+    sigma = 0.25 * np.eye(120) + 0.02 * np.ones((120, 120))
+    c = lyapunov_stationary_cov(model.a0, sigma)
+    resid = np.linalg.norm(model.a0 @ c + c @ model.a0.T - sigma) / np.linalg.norm(sigma)
+    assert resid <= 1e-10
+    np.testing.assert_array_equal(c, c.T)
+    assert np.min(np.linalg.eigvalsh(c)) >= 0.0
+
+
 def test_json_round_trip(tmp_path):
     model = generate_drift(d=5, r=2, s=4, seed=21)
     doc = drift_model_to_dict(model)

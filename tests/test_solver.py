@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oudrift.solver as solver
 from oudrift.contrast import LocalizationConfig, build_context, gradient, localization_from_observations, loss
 from oudrift.matrix_ops import l1_norm, linf_norm, nuclear_norm, operator_norm
 from oudrift.models import generate_drift
@@ -25,6 +26,26 @@ def make_ctx(d=5, n=500, seed=0, delta_n=0.1):
     regime = LevyRegime(tag="continuous", sigma=np.eye(d))
     obs = simulate_path(model, regime, PathConfig(delta_n=delta_n, n_obs=n, substeps=4, seed=seed))
     return model, build_context(obs, localization_from_observations(obs))
+
+
+def test_solve_runs_one_svd_per_prox_step(monkeypatch):
+    _, ctx = make_ctx()
+    calls = {"svd": 0, "prox": 0}
+    real_svd, real_prox = np.linalg.svd, solver._prox_step
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", real_svd))
+    monkeypatch.setattr(solver, "_prox_step", counting("prox", real_prox))
+    result = solve(ctx, (0.005, 0.002), SolverConfig(max_iters=50))
+    assert calls["prox"] >= result.iterations > 1
+    # one SVD for the initial objective, then one per prox step
+    assert calls["svd"] == 1 + calls["prox"]
 
 
 def test_tune_lambdas_formula():
