@@ -1,6 +1,6 @@
 """Reproduce the 1/T risk decay with the experiment harness.
 
-Run:  python demos/03_rate_sweep.py          (about two minutes)
+Run:  python demos/03_rate_sweep.py          (a few seconds)
 
 Uses a shrunk version of the continuous-noise preset: calibrates penalty
 constants on pilot replicates, sweeps the horizon, and fits the log-log

@@ -74,12 +74,13 @@ class DualBoundReport:
 @dataclass(frozen=True)
 class RscReport:
     """Eigenvalue floor of the truncated empirical covariance versus a
-    reference proxy; passes when the floor keeps half the proxy level."""
+    reference proxy; passes when the floor keeps half the proxy level.
+    Without a reference both c_b_proxy and passes are None (unknown)."""
 
     min_eig_cn: float
-    c_b_proxy: float
+    c_b_proxy: Optional[float]
     kappa_est: float
-    passes: bool
+    passes: Optional[bool]
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,12 @@ def verify_rsc(
     ctx: ContrastContext, reference_cov: Optional[np.ndarray] = None
 ) -> RscReport:
     """Eigenvalue floor of c_n; the unrestricted bound implies the
-    cone-restricted one.  Without a reference covariance the report only
-    states the floor (passes compares the floor to half of itself)."""
+    cone-restricted one.  Without a reference covariance there is nothing to
+    compare the floor to: the report states the floor and passes is None."""
     min_eig = float(np.linalg.eigvalsh(ctx.c_n)[0])
-    if reference_cov is not None:
-        c_b = float(np.linalg.eigvalsh(as_matrix(reference_cov))[0])
-    else:
-        c_b = min_eig
+    if reference_cov is None:
+        return RscReport(min_eig_cn=min_eig, c_b_proxy=None, kappa_est=min_eig, passes=None)
+    c_b = float(np.linalg.eigvalsh(as_matrix(reference_cov))[0])
     return RscReport(
         min_eig_cn=min_eig,
         c_b_proxy=c_b,

@@ -753,6 +753,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "step_init": cfg.solver.step_init,
             "backtracking_factor": cfg.solver.backtracking_factor,
             "acceleration": cfg.solver.acceleration,
+            "l_init": None if cfg.solver.l_init is None else np.asarray(cfg.solver.l_init).tolist(),
+            "s_init": None if cfg.solver.s_init is None else np.asarray(cfg.solver.s_init).tolist(),
         },
         "output_dir": cfg.output_dir,
         "name": cfg.name,
@@ -767,6 +769,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "risk_calibration": cfg.risk_calibration,
         "risk_multipliers": list(cfg.risk_multipliers),
     }
+
+
+def _matrix_or_none(value) -> Optional[np.ndarray]:
+    return None if value is None else np.array(value, dtype=float)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -815,6 +821,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             step_init=sol["step_init"],
             backtracking_factor=float(sol["backtracking_factor"]),
             acceleration=bool(sol["acceleration"]),
+            # manifests written before the warm starts were stored lack them
+            l_init=_matrix_or_none(sol.get("l_init")),
+            s_init=_matrix_or_none(sol.get("s_init")),
         ),
         output_dir=doc["output_dir"],
         name=doc["name"],

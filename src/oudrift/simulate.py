@@ -14,18 +14,27 @@ steps per observation; the exact transition has no closed form once jumps are
 present.  Only the observation mesh is recorded, so the m = substeps fine
 steps between two observations are applied at once:
 
-    x_{k+1} = M^m x_k + sum_j M^(m-1-j) dz_{k,j},
+    x_{k+1} = M^m x_k + u_k,    u_k = sum_j M^(m-1-j) dz_{k,j}.
 
-with the fine increments dz_{k,j} reduced by one matrix product per run of
-blocks (burn-in, then the observed path).  This is the same scheme on the
-same random draws as stepping every substep, so the law of the path is
-unchanged and states differ from stepwise iteration only by floating-point
-rounding.
+The fine increments are never stored.  `_window_drive` builds the (n_obs, d)
+drive u directly: it draws the normals a fixed number of windows at a time
+and reduces each chunk by one matrix product against a stack whose blocks
+are sqrt(dt) (M^(m-1-j) sigma)^T, then adds every compound-Poisson jump
+propagated from its own fine step.  `_scan` then runs the recursion as a
+two-level blocked scan over blocks of about sqrt(n_obs) observations
+(Blelloch 1990): block sums from zero, a carry loop over blocks, a batched
+fill.
+
+Stream contract: a path draws exactly what `_sample_increments` draws over
+the burn-in steps and then over the observed steps (all normals, then Poisson
+counts, directions and radii), so the law of the path is that of stepwise
+Euler iteration, and states differ from it only by floating-point rounding.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,21 +200,42 @@ def _jump_radii(regime: LevyRegime, size: int, rng: np.random.Generator) -> np.n
     raise ValueError(f"regime {regime.tag!r} has no jump law")
 
 
+def _jump_draws(
+    regime: LevyRegime, dt: float, n: int, d: int, rng: np.random.Generator
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Compound-Poisson part of n windows of length dt: per-window counts and
+    the (counts.sum(), d) jumps in window order; None when no jump occurs.
+
+    Draws Poisson counts, then directions, then radii.
+    """
+    if regime.tag == "continuous" or regime.jump_rate <= 0:
+        return None
+    counts = rng.poisson(regime.jump_rate * dt, size=n)
+    total = int(counts.sum())
+    if total == 0:
+        return None
+    dirs = rng.standard_normal((total, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return counts, dirs * _jump_radii(regime, total, rng)[:, None]
+
+
 def _sample_increments(
     regime: LevyRegime, dt: float, n: int, d: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n driving-noise increments over windows of length dt, shape (n, d)."""
-    out = np.zeros((n, d))
+    """n driving-noise increments over windows of length dt, shape (n, d).
+
+    This defines the random stream of a run of Euler steps: all normals of
+    the Brownian part (row-major, none when sigma is None or zero), then the
+    jumps (`_jump_draws`).  `simulate_path` draws exactly this stream.
+    """
     if regime.sigma is not None and np.any(regime.sigma):
-        out += np.sqrt(dt) * rng.standard_normal((n, d)) @ regime.sigma.T
-    if regime.tag != "continuous" and regime.jump_rate > 0:
-        counts = rng.poisson(regime.jump_rate * dt, size=n)
-        total = int(counts.sum())
-        if total > 0:
-            dirs = rng.standard_normal((total, d))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            jumps = dirs * _jump_radii(regime, total, rng)[:, None]
-            np.add.at(out, np.repeat(np.arange(n), counts), jumps)
+        out = np.sqrt(dt) * rng.standard_normal((n, d)) @ regime.sigma.T
+    else:
+        out = np.zeros((n, d))
+    jumps = _jump_draws(regime, dt, n, d, rng)
+    if jumps is not None:
+        counts, sizes = jumps
+        np.add.at(out, np.repeat(np.arange(n), counts), sizes)
     return out
 
 
@@ -218,36 +248,110 @@ def sample_levy_increment(regime: LevyRegime, dt: float, rng: np.random.Generato
     return _sample_increments(regime, dt, 1, d, rng)[0]
 
 
-def _aggregated_step(a0: np.ndarray, dt: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """M^m and the (m d, d) stack of (M^(m-1-j))^T for M = I - A0 dt.
+# Observation windows whose normals are drawn and reduced at a time, so the
+# (n_obs * substeps, d) fine increments never exist at once.
+DRAW_WINDOWS = 256
 
-    Row-vector form: a block of fine increments dz_{k,0..m-1}, concatenated
-    into one row, times the stack is (sum_j M^(m-1-j) dz_{k,j})^T.
+
+def _propagators(
+    a0: np.ndarray, sigma: Optional[np.ndarray], dt: float, m: int
+) -> tuple[list, Optional[np.ndarray]]:
+    """Powers M^0..M^m of M = I - A0 dt, and the window's Gaussian stack.
+
+    The stack is (m d, d) with blocks sqrt(dt) (M^(m-1-j) sigma)^T: a window's
+    m d normals, as one row, times it is sum_j M^(m-1-j) sqrt(dt) sigma g_j.
+    None when there is no Brownian part.
     """
-    step = np.eye(a0.shape[0]) - a0 * dt
-    powers = [np.eye(a0.shape[0])]
-    for _ in range(m - 1):
+    d = a0.shape[0]
+    step = np.eye(d) - a0 * dt
+    powers = [np.eye(d)]
+    for _ in range(m):
         powers.append(step @ powers[-1])
-    stack = np.concatenate([pw.T for pw in reversed(powers)])
-    return step @ powers[-1], stack
+    if sigma is None or not np.any(sigma):
+        return powers, None
+    return powers, np.sqrt(dt) * np.concatenate([(pw @ sigma).T for pw in powers[m - 1::-1]])
 
 
-def _euler_blocks(
-    x: np.ndarray, dz: np.ndarray, power: np.ndarray, stack: np.ndarray
+def _window_drive(
+    regime: LevyRegime,
+    dt: float,
+    n_fine: int,
+    powers: list,
+    gauss: Optional[np.ndarray],
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """States after every block of m Euler steps from x, m = len(stack) // d.
+    """Aggregated drive of n_fine Euler steps, one row per window of m steps.
 
-    dz holds the fine increments, (n_blocks * m, d), block-major.  Returns
-    (n_blocks + 1, d) with x in row 0.  Overflow is left to the caller's
-    guard: rows past a blow-up hold inf or nan.
+    Row k is sum_j M^(m-1-j) dz_{k,j}, m = len(powers) - 1, on the draws
+    `_sample_increments(regime, dt, n_fine, d, rng)` makes.  The normals are
+    drawn DRAW_WINDOWS windows at a time and reduced by the Gaussian stack;
+    then every jump is propagated from its own step.  When m does not divide
+    n_fine, row 0 is the partial window of the leading n_fine mod m steps.
     """
-    drive = dz.reshape(-1, stack.shape[0])
-    out = np.empty((drive.shape[0] + 1, x.shape[0]))
+    m = len(powers) - 1
+    d = powers[0].shape[0]
+    lead = n_fine % m
+    pad = (m - lead) % m  # missing leading steps of the partial window
+    n_win = -(-n_fine // m)
+    drive = np.zeros((n_win, d))
+    if gauss is not None:
+        first = 0
+        if lead:
+            drive[0] = rng.standard_normal(lead * d) @ gauss[pad * d:]
+            first = 1
+        for lo in range(first, n_win, DRAW_WINDOWS):
+            hi = min(lo + DRAW_WINDOWS, n_win)
+            np.matmul(rng.standard_normal((hi - lo, m * d)), gauss, out=drive[lo:hi])
+    jumps = _jump_draws(regime, dt, n_fine, d, rng)
+    if jumps is not None:
+        counts, sizes = jumps
+        steps = np.flatnonzero(counts)
+        per_step = np.add.reduceat(sizes, np.cumsum(counts[steps]) - counts[steps])
+        window, offset = np.divmod(steps + pad, m)
+        for j in np.unique(offset):
+            hit = offset == j
+            drive[window[hit]] += per_step[hit] @ powers[m - 1 - j].T
+    return drive
+
+
+def _scan(x: np.ndarray, drive: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """States x_0 = x, x_{k+1} = power x_k + drive_k; shape (n + 1, d).
+
+    Two-level blocked scan over nb blocks of b = ceil(sqrt(n)) rows:
+    1. every block's end state from a zero start, all blocks at once;
+    2. the start of every block, carried block to block by power^b;
+    3. every state, recomputed inside all blocks at once from those starts.
+    About 3 sqrt(n) Python steps instead of n.  Overflow is left to the
+    caller's guard: states past a blow-up hold inf or nan.
+    """
+    n, d = drive.shape
+    b = math.isqrt(max(n - 1, 0)) + 1
+    nb = -(-n // b)
+    u = np.zeros((nb * b, d))
+    u[:n] = drive
+    u = u.reshape(nb, b, d)
+    pt = power.T
+
+    ends = np.zeros((nb, d))
+    for t in range(b):
+        ends = ends @ pt + u[:, t]
+
+    carry = np.linalg.matrix_power(power, b)
+    starts = np.empty((nb, d))
+    if nb:
+        starts[0] = x
+    for i in range(1, nb):
+        starts[i] = carry @ starts[i - 1] + ends[i - 1]
+
+    out = np.empty((nb * b + 1, d))
     out[0] = x
-    np.matmul(drive, stack, out=out[1:])
-    for k in range(drive.shape[0]):
-        out[k + 1] += power @ out[k]
-    return out
+    fill = out[1:].reshape(nb, b, d)
+    prev = starts
+    for t in range(b):
+        np.matmul(prev, pt, out=fill[:, t])
+        fill[:, t] += u[:, t]
+        prev = fill[:, t]
+    return out[: n + 1]
 
 
 def simulate_path(
@@ -258,14 +362,18 @@ def simulate_path(
 ) -> ObservationSet:
     """Euler path of dX = -A0 X dt + dZ, recorded on the observation mesh.
 
-    dt = delta_n / substeps; the substeps between two observations are
-    applied as one aggregated step (module docstring), on the same draws as
-    stepping each substep, so only rounding differs.  The start is
-    stationarized by running the same dynamics for the burn-in duration from
-    zero (or from `x0` when given; pass burn_in_time=0 to force an exact
-    injected start); its leading `n_burn mod substeps` steps are taken singly.
-    Raises SimulationBlowupError when the state leaves the overflow guard by
-    the end of burn-in or at an observation.  Deterministic given cfg.seed.
+    dt = delta_n / substeps.  The substeps between two observations are
+    applied as one aggregated step, whose drive `_window_drive` builds in
+    chunks of windows straight from the draws, and the observations follow
+    by a blocked scan (module docstring).  The draws are exactly those of
+    `_sample_increments` over the burn-in steps and then over the observed
+    steps, so the path is the stepwise Euler path up to rounding.  The start
+    is stationarized by running the same dynamics for the burn-in duration
+    from zero (or from `x0` when given; pass burn_in_time=0 to force an
+    exact injected start); its leading `n_burn mod substeps` steps form one
+    partial window.  Raises SimulationBlowupError when the state leaves the
+    overflow guard by the end of burn-in or at an observation, naming the
+    first such observation time.  Deterministic given cfg.seed.
     """
     d = model.d
     if regime.sigma is not None and regime.sigma.shape[0] != d:
@@ -273,7 +381,6 @@ def simulate_path(
     rng = np.random.default_rng(cfg.seed)
     m = cfg.substeps
     dt = cfg.delta_n / m
-    a0 = model.a0
 
     burn_time = cfg.burn_in_time
     if burn_time is None:
@@ -285,21 +392,22 @@ def simulate_path(
         raise ValueError(f"x0 must have shape ({d},)")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        power, stack = _aggregated_step(a0, dt, m)
+        powers, gauss = _propagators(model.a0, regime.sigma, dt, m)
         if n_burn > 0:
-            dz = _sample_increments(regime, dt, n_burn, d, rng)
+            drive = _window_drive(regime, dt, n_burn, powers, gauss, rng)
             lead = n_burn % m
-            for k in range(lead):
-                x = x - (a0 @ x) * dt + dz[k]
-            x = _euler_blocks(x, dz[lead:], power, stack)[-1]
+            if lead:
+                x = powers[lead] @ x + drive[0]
+                drive = drive[1:]
+            x = _scan(x, drive, powers[m])[-1]
             if not np.all(np.abs(x) < OVERFLOW_GUARD):
                 raise SimulationBlowupError(
                     f"burn-in exceeded overflow guard (dt={dt:g}, "
                     f"stability_margin={model.stability_margin:g})"
                 )
 
-        dz = _sample_increments(regime, dt, cfg.n_obs * m, d, rng)
-        states = _euler_blocks(x, dz, power, stack)
+        drive = _window_drive(regime, dt, cfg.n_obs * m, powers, gauss, rng)
+        states = _scan(x, drive, powers[m])
         bad = ~np.all(np.abs(states[1:]) < OVERFLOW_GUARD, axis=1)
     if bad.any():
         k = int(np.argmax(bad))

@@ -165,7 +165,9 @@ def solve(
 
     Proximal gradient with backtracking line search against the quadratic
     upper bound; optional momentum with objective-increase restart.  Stops
-    when the relative objective decrease falls below cfg.tol.
+    when the relative objective decrease falls below cfg.tol, except that a
+    momentum step which does not decrease the objective restarts the
+    momentum instead: only a plain prox step may stop on a tie.
     """
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     if lam_star < 0 or lam_one < 0:
@@ -231,11 +233,18 @@ def solve(
         if not accepted:  # pragma: no cover - loop above always breaks
             raise RuntimeError("line search failed to accept a step")
 
+        momentum_step = l_pt is not l_cur or s_pt is not s_cur
         l_prev, s_prev = l_cur, s_cur
         l_cur, s_cur = l_new, s_new
         rel_decrease = (f_cur - f_new) / max(1.0, abs(f_cur))
         f_cur = min(f_new, f_cur)
         trace.append(f_cur)
+
+        if momentum_step and rel_decrease <= 0.0:
+            # an extrapolated step that merely ties is no sign of
+            # stationarity: drop the momentum and retry from here
+            t_mom = 1.0
+            continue
 
         t_mom_prev = t_mom
         t_mom = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))

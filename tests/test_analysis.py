@@ -128,6 +128,14 @@ def test_verify_rsc_injected_identity():
     assert rep.passes
 
 
+def test_verify_rsc_without_reference_is_unknown():
+    obs = ObservationSet.from_states(np.vstack([np.eye(2), np.eye(2)[:1]]), 1.0)
+    ctx = build_context(obs, LocalizationConfig(radius_b=10.0, eta=10.0))
+    rep = verify_rsc(ctx)
+    assert rep.passes is None and rep.c_b_proxy is None
+    assert rep.min_eig_cn == pytest.approx(float(np.linalg.eigvalsh(ctx.c_n)[0]))
+
+
 def test_verify_rsc_small_sample_fails_and_norm_floor_holds():
     model = generate_drift(d=4, r=1, s=2, seed=6, spectral_floor=0.5)
     regime = LevyRegime(tag="continuous", sigma=np.eye(4))

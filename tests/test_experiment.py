@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_config_json_round_trip_identity():
         doc = config_to_dict(cfg)
         doc2 = config_to_dict(config_from_dict(json.loads(json.dumps(doc))))
         assert doc2 == doc
+
+
+def test_config_round_trip_keeps_solver_warm_start():
+    base = regime_preset("bounded")
+    l_init = np.arange(base.d * base.d, dtype=float).reshape(base.d, base.d) / 7.0
+    cfg = replace(base, solver=replace(base.solver, l_init=l_init))
+    doc = json.loads(json.dumps(config_to_dict(cfg)))
+    assert doc["solver"]["s_init"] is None
+    back = config_from_dict(doc)
+    np.testing.assert_array_equal(back.solver.l_init, l_init)
+    assert back.solver.s_init is None
+    # a manifest written before the warm starts were stored reads as None
+    del doc["solver"]["l_init"], doc["solver"]["s_init"]
+    old = config_from_dict(doc)
+    assert old.solver.l_init is None and old.solver.s_init is None
 
 
 def test_total_noise_cov_matches_sampler():

@@ -1,4 +1,7 @@
+import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from oudrift.simulate import (
     sample_levy_increment,
     simulate_path,
 )
-from oudrift.simulate import _sample_increments
+from oudrift.simulate import DRAW_WINDOWS, _sample_increments
 
 
 def test_regime_validation():
@@ -172,6 +175,64 @@ def test_path_matches_stepwise_euler(regime, substeps):
     np.testing.assert_allclose(
         obs.states, _stepwise_euler(model, regime, injected, x0=x0), rtol=1e-12, atol=1e-12
     )
+
+
+# several draw chunks and scan blocks, and a multiple of neither
+LONG_N_OBS = 2 * DRAW_WINDOWS + 189
+assert LONG_N_OBS % DRAW_WINDOWS and LONG_N_OBS % (math.isqrt(LONG_N_OBS - 1) + 1)
+# jump_rate * dt = 1.5 at dt = 0.1 / 3: several jumps share a fine step
+DENSE_JUMPS = LevyRegime(tag="polymoment", sigma=0.5 * np.eye(4), jump_rate=45.0, jump_scale=0.05, p=4.0)
+NO_SIGMA = LevyRegime(tag="subweibull", sigma=None, jump_rate=2.0, jump_scale=0.5, alpha=1.0)
+SHAPE_CASES = (
+    [(regime, LONG_N_OBS) for regime in REGIMES_D4]
+    + [(DENSE_JUMPS, 300), (replace(DENSE_JUMPS, sigma=None), 300)]
+    + [(regime, n) for regime in (REGIMES_D4[0], REGIMES_D4[1], NO_SIGMA) for n in (1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "regime,n_obs", SHAPE_CASES,
+    ids=[f"{r.tag}-{'sigma' if r.sigma is not None else 'nosigma'}-rate{r.jump_rate:g}-n{n}"
+         for r, n in SHAPE_CASES],
+)
+def test_path_shapes_match_stepwise_euler(regime, n_obs):
+    model = generate_drift(d=4, r=1, s=3, seed=5)
+    cfg = PathConfig(delta_n=0.1, n_obs=n_obs, substeps=3, burn_in_time=0.25, seed=33)
+    obs = simulate_path(model, regime, cfg)
+    assert obs.states.shape == (n_obs + 1, 4)
+    np.testing.assert_allclose(
+        obs.states, _stepwise_euler(model, regime, cfg), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_blowup_mid_block_reports_stepwise_first_crossing():
+    model = generate_drift(d=3, r=0, s=0, seed=0, spectral_floor=1.0)  # a0 = I
+    regime = LevyRegime(tag="continuous", sigma=np.eye(3))
+    # dt = 2.1 multiplies by -1.1 per step: the guard is crossed near step 290
+    cfg = PathConfig(delta_n=2.1, n_obs=2000, substeps=1, burn_in_time=0.0, seed=0)
+    x0 = np.ones(3)
+    states = _stepwise_euler(model, regime, cfg, x0=x0)
+    k = int(np.argmax(np.any(np.abs(states[1:]) >= 1e12, axis=1)))  # first bad obs - 1
+    block = math.isqrt(cfg.n_obs - 1) + 1
+    assert k // block >= 2 and 0 < k % block < block - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationBlowupError, match=rf"at t={(k + 1) * cfg.delta_n:g} "):
+            simulate_path(model, regime, cfg, x0=x0)
+
+
+def test_continuous_d20_path_never_holds_the_fine_increments():
+    model = generate_drift(d=20, r=2, s=20, seed=3)
+    regime = LevyRegime(tag="continuous", sigma=np.eye(20))
+    cfg = PathConfig(delta_n=0.05, n_obs=40000, substeps=10, seed=7)
+    fine_bytes = cfg.n_obs * cfg.substeps * model.d * 8  # 61 MiB
+    tracemalloc.start()
+    try:
+        simulate_path(model, regime, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fine_bytes
 
 
 def test_simulation_blowup_raises():
