@@ -142,30 +142,41 @@ def build_context(obs: ObservationSet, loc: LocalizationConfig) -> ContrastConte
     )
 
 
-def loss(ctx: ContrastContext, a) -> float:
-    """Localized/truncated mean squared residual at drift candidate a."""
+def _checked(ctx: ContrastContext, a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape != (ctx.d, ctx.d):
         raise ValueError(f"expected {ctx.d}x{ctx.d}, got {a.shape}")
+    return a
+
+
+def _loss_given_product(ctx: ContrastContext, a: np.ndarray, ac: np.ndarray) -> float:
+    """Loss at a valid (d, d) matrix a, given its product ac = a @ c_n."""
     dn = ctx.delta_n
-    quad = float(np.sum((a @ ctx.c_n) * a))  # (1/n) sum ||a x_k||^2
+    quad = float(np.sum(ac * a))  # (1/n) sum ||a x_k||^2
     return ctx.s0 + 2.0 * dn * float(np.sum(ctx.m1 * a)) + dn * dn * quad
+
+
+def _gradient_given_product(ctx: ContrastContext, ac: np.ndarray) -> np.ndarray:
+    """Gradient at a, given its product ac = a @ c_n."""
+    dn = ctx.delta_n
+    return 2.0 * dn * ctx.m1 + 2.0 * dn * dn * ac
+
+
+def loss(ctx: ContrastContext, a) -> float:
+    """Localized/truncated mean squared residual at drift candidate a."""
+    a = _checked(ctx, a)
+    return _loss_given_product(ctx, a, a @ ctx.c_n)
 
 
 def gradient(ctx: ContrastContext, a) -> np.ndarray:
     """Gradient of the contrast: (2 dn / n) sum (dX_k + a x_k dn) x_k^T."""
-    a = as_matrix(a)
-    if a.shape != (ctx.d, ctx.d):
-        raise ValueError(f"expected {ctx.d}x{ctx.d}, got {a.shape}")
-    dn = ctx.delta_n
-    return 2.0 * dn * ctx.m1 + 2.0 * dn * dn * (a @ ctx.c_n)
+    a = _checked(ctx, a)
+    return _gradient_given_product(ctx, a @ ctx.c_n)
 
 
 def empirical_norm_sq(ctx: ContrastContext, a) -> float:
     """Truncated empirical seminorm: (1/n) sum over active ||a x_k||^2."""
-    a = as_matrix(a)
-    if a.shape != (ctx.d, ctx.d):
-        raise ValueError(f"expected {ctx.d}x{ctx.d}, got {a.shape}")
+    a = _checked(ctx, a)
     return float(np.sum((a @ ctx.c_n) * a))
 
 

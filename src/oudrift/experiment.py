@@ -311,13 +311,16 @@ class Calibration:
     the truth over pilot replicates, which is what the certificate checks
     verify.  solver_tuning scales those constants by the pilot-risk-optimal
     multiplier and drives the estimator; the quantile constants are known to
-    oversmooth.
+    oversmooth.  risk_curve holds one {"multiplier", "risk", "iterations"}
+    per multiplier tried: the mean pilot squared error (None when a solve
+    diverged) and the solver iterations its pilot solves took.
     """
 
     cert_tuning: TuningConfig
     solver_tuning: TuningConfig
     risk_multiplier: float
     failed_pilots: tuple = ()  # ({"pilot", "seed", "error"}, ...) dropped pilots
+    risk_curve: tuple = ()
 
 
 class CalibrationError(RuntimeError):
@@ -350,9 +353,17 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     rescales both constants by the multiplier minimizing the mean pilot
     squared error.
 
+    The multipliers, in their configured order (largest first by default),
+    form a continuation path: each pilot's solve at a multiplier starts from
+    that pilot's most recent solution (the first from cfg.solver's own
+    start), which cuts the solver iterations.  The warm starts stay inside
+    calibration; replicates solve with cfg.solver.
+
     A pilot whose generation, simulation or localization fails is logged and
     dropped (`failed_pilots`); a multiplier whose solve diverges on some pilot
-    scores infinite risk.  Raises CalibrationError when no pilot survives.
+    scores infinite risk, skips the remaining pilots, and leaves every
+    pilot's start at its last successful solution.  Raises CalibrationError
+    when no pilot survives.
     """
     t = float(t_pilot if t_pilot is not None else max(cfg.t_sweep))
     gamma = _resolved_gamma(cfg)
@@ -402,21 +413,31 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     )
 
     best_mult = 1.0
+    risk_curve = []
     if cfg.risk_calibration:
         best_risk = math.inf
+        starts = [cfg.solver] * len(pilots)  # per pilot: solver config with its warm start
         for mult in cfg.risk_multipliers:
             tun = replace(cert, c_op=cert.c_op * mult, c_one=cert.c_one * mult)
             lambdas = tune_lambdas(cfg.d, t, tun)
             risk = 0.0
-            for model, ctx in pilots:
+            iterations = 0
+            for k, (model, ctx) in enumerate(pilots):
                 try:
-                    result = solve(ctx, lambdas, cfg.solver)
+                    result = solve(ctx, lambdas, starts[k])
                 except DivergenceError as exc:
                     logger.warning("calibration multiplier %g scored inf: %s", mult, exc)
                     risk = math.inf
                     break
+                starts[k] = replace(cfg.solver, l_init=result.l_hat, s_init=result.s_hat)
+                iterations += result.iterations
                 diff = result.a_hat - model.a0
                 risk += float(np.sum(diff * diff))
+            risk_curve.append({
+                "multiplier": float(mult),
+                "risk": None if math.isinf(risk) else risk / len(pilots),
+                "iterations": iterations,
+            })
             if risk < best_risk:
                 best_risk = risk
                 best_mult = float(mult)
@@ -425,7 +446,7 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     )
     return Calibration(
         cert_tuning=cert, solver_tuning=solver_tuning, risk_multiplier=best_mult,
-        failed_pilots=failed,
+        failed_pilots=failed, risk_curve=tuple(risk_curve),
     )
 
 
@@ -579,6 +600,7 @@ def run_experiment(
         },
         "risk_multiplier": calib.risk_multiplier,
         "calibration_failed_pilots": list(calib.failed_pilots),
+        "calibration_risk_curve": list(calib.risk_curve),
     }
     with open(target / f"{cfg.name}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

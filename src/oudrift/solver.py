@@ -20,7 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .contrast import ContrastContext, gradient, loss
+from .contrast import (
+    ContrastContext,
+    _gradient_given_product,
+    _loss_given_product,
+    gradient,
+)
 from .matrix_ops import (
     DEFAULT_TOLS,
     l1_norm,
@@ -143,8 +148,16 @@ def tune_lambdas(d: int, t_horizon: float, tuning: TuningConfig) -> tuple:
     return lam_star, lam_one
 
 
-def _objective(ctx, l, s, lam_star, lam_one) -> float:
-    return loss(ctx, l + s) + lam_star * nuclear_norm(l) + lam_one * l1_norm(s)
+def _start(value, name: str, d: int) -> np.ndarray:
+    """A (d, d) starting block from SolverConfig; zeros when unset."""
+    if value is None:
+        return np.zeros((d, d))
+    m = np.array(value, dtype=float)
+    if m.shape != (d, d):
+        raise ValueError(f"{name} must have shape ({d}, {d}), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    return m
 
 
 def _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one):
@@ -168,23 +181,39 @@ def solve(
     when the relative objective decrease falls below cfg.tol, except that a
     momentum step which does not decrease the objective restarts the
     momentum instead: only a plain prox step may stop on a tie.
+
+    The iteration starts from (cfg.l_init, cfg.s_init), zeros where unset;
+    each must be a finite (d, d) matrix (ValueError naming the field
+    otherwise), and is copied, never modified.  A warm start changes where
+    the iteration starts, not the problem: near a previous solution it
+    reaches the tol stop in fewer iterations.  Raises DivergenceError when
+    the objective is non-finite at the start or at a trial point.
+
+    The loss is exactly quadratic, so each evaluated point costs one
+    product a @ c_n, shared by the loss and the gradient there; a plain
+    step reuses the product of the point the previous step accepted.
     """
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     if lam_star < 0 or lam_one < 0:
         raise ValueError("penalty levels must be nonnegative")
     d = ctx.d
     dn = ctx.delta_n
+    c_n = ctx.c_n
 
-    l_cur = np.zeros((d, d)) if cfg.l_init is None else np.array(cfg.l_init, dtype=float)
-    s_cur = np.zeros((d, d)) if cfg.s_init is None else np.array(cfg.s_init, dtype=float)
+    l_cur = _start(cfg.l_init, "l_init", d)
+    s_cur = _start(cfg.s_init, "s_init", d)
 
     if cfg.step_init is not None:
         tau = cfg.step_init
     else:
-        lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(ctx.c_n)[-1])
+        lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(c_n)[-1])
         tau = 1.0 / lip if lip > 0 else 1.0
 
-    f_cur = _objective(ctx, l_cur, s_cur, lam_star, lam_one)
+    # the smooth part at the current iterate: sum, its product with c_n, loss
+    a_cur = l_cur + s_cur
+    ac_cur = a_cur @ c_n
+    loss_cur = _loss_given_product(ctx, a_cur, ac_cur)
+    f_cur = loss_cur + lam_star * nuclear_norm(l_cur) + lam_one * l1_norm(s_cur)
     if not np.isfinite(f_cur):
         raise DivergenceError("objective non-finite at the initial point")
     trace = [f_cur]
@@ -205,14 +234,20 @@ def solve(
 
         accepted = False
         for _restart in range(2):
-            a_pt = l_pt + s_pt
-            f_pt = loss(ctx, a_pt)
-            g = gradient(ctx, a_pt)
+            if l_pt is l_cur and s_pt is s_cur:
+                ac_pt, f_pt = ac_cur, loss_cur
+            else:
+                a_pt = l_pt + s_pt
+                ac_pt = a_pt @ c_n
+                f_pt = _loss_given_product(ctx, a_pt, ac_pt)
+            g = _gradient_given_product(ctx, ac_pt)
             while True:
                 l_new, s_new, nuc_new = _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
                 dl = l_new - l_pt
                 ds = s_new - s_pt
-                f_smooth = loss(ctx, l_new + s_new)
+                a_new = l_new + s_new
+                ac_new = a_new @ c_n
+                f_smooth = _loss_given_product(ctx, a_new, ac_new)
                 if not np.isfinite(f_smooth):
                     raise DivergenceError(f"objective non-finite at iteration {it}")
                 bound = (
@@ -223,7 +258,7 @@ def solve(
                 if f_smooth <= bound + 1e-14 * max(1.0, abs(bound)):
                     break
                 tau *= cfg.backtracking_factor
-            f_new = f_smooth + lam_star * nuc_new + lam_one * l1_norm(s_new)
+            f_new = f_smooth + lam_star * nuc_new + lam_one * float(np.sum(np.abs(s_new)))
             if f_new <= f_cur or not cfg.acceleration or (l_pt is l_cur and s_pt is s_cur):
                 accepted = True
                 break
@@ -236,6 +271,7 @@ def solve(
         momentum_step = l_pt is not l_cur or s_pt is not s_cur
         l_prev, s_prev = l_cur, s_cur
         l_cur, s_cur = l_new, s_new
+        a_cur, ac_cur, loss_cur = a_new, ac_new, f_smooth
         rel_decrease = (f_cur - f_new) / max(1.0, abs(f_cur))
         f_cur = min(f_new, f_cur)
         trace.append(f_cur)
@@ -256,7 +292,7 @@ def solve(
     return EstimateResult(
         l_hat=l_cur,
         s_hat=s_cur,
-        a_hat=l_cur + s_cur,
+        a_hat=a_cur,
         objective_trace=np.array(trace),
         iterations=iterations,
         converged=converged,

@@ -216,6 +216,97 @@ def test_calibration_scores_a_diverging_multiplier_as_inf(tmp_path, monkeypatch)
     assert calib.failed_pilots == ()
 
 
+def calibrated_config(tmp_path, **overrides) -> ExperimentConfig:
+    """Three pilots along three multipliers, with the penalty rule in use."""
+    base = dict(
+        t_sweep=(20.0,), calibrate=True, calibration_reps=3, tuning=TuningConfig(),
+        risk_multipliers=(1.0, 0.5, 0.25),
+    )
+    base.update(overrides)
+    return tiny_config(tmp_path, **base)
+
+
+def _record_solves(monkeypatch, fail_at=()):
+    """Record (ctx, solver config, result) of each solve; the calls numbered
+    in fail_at raise DivergenceError instead (result None)."""
+    real = experiment.solve
+    calls = []
+
+    def recording(ctx, lambdas, cfg):
+        if len(calls) in fail_at:
+            calls.append((ctx, cfg, None))
+            raise DivergenceError("forced")
+        result = real(ctx, lambdas, cfg)
+        calls.append((ctx, cfg, result))
+        return result
+
+    monkeypatch.setattr(experiment, "solve", recording)
+    return calls
+
+
+@pytest.mark.parametrize("l_init", [None, np.full((4, 4), 0.01)])
+def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, monkeypatch, l_init):
+    cfg = calibrated_config(tmp_path, solver=SolverConfig(max_iters=500, l_init=l_init))
+    calls = _record_solves(monkeypatch)
+    calib = experiment.calibrate_tuning(cfg)
+    pilots = cfg.calibration_reps
+    assert len(calls) == pilots * len(cfg.risk_multipliers)
+    for k in range(pilots):
+        own = calls[k::pilots]  # multiplier-outer: pilot k's solves, largest multiplier first
+        assert all(ctx is own[0][0] for ctx, _, _ in own)
+        assert own[0][1] is cfg.solver
+        for (_, _, prev), (_, start, _) in zip(own, own[1:]):
+            assert start.l_init is prev.l_hat and start.s_init is prev.s_hat
+            assert replace(start, l_init=l_init, s_init=None) == cfg.solver
+
+    # replicates solve with the configured solver itself, never with a warm start
+    del calls[:]
+    experiment.run_single(cfg, calib, 20.0, 0)
+    assert len(calls) == 1 and calls[0][1] is cfg.solver
+
+
+def test_calibration_diverged_pilot_resumes_from_last_success(tmp_path, monkeypatch):
+    # 3 pilots: the 5th solve is pilot 1 at multiplier 0.5, so pilot 2 is skipped there
+    cfg = calibrated_config(tmp_path)
+    calls = _record_solves(monkeypatch, fail_at=(4,))
+    calib = experiment.calibrate_tuning(cfg)
+    assert len(calls) == 3 + 2 + 3
+    first, second, third = calls[:3], calls[3:5], calls[5:]
+    assert third[0][1].l_init is second[0][2].l_hat  # pilot 0: from multiplier 0.5
+    assert third[1][1].l_init is first[1][2].l_hat   # pilot 1 diverged at 0.5: from 1.0
+    assert third[2][1].s_init is first[2][2].s_hat   # pilot 2 skipped at 0.5: from 1.0
+
+    curve = calib.risk_curve
+    assert [set(e) for e in curve] == [{"multiplier", "risk", "iterations"}] * 3
+    assert [e["multiplier"] for e in curve] == list(cfg.risk_multipliers)
+    assert curve[1]["risk"] is None
+    assert [e["iterations"] for e in curve] == [
+        sum(r.iterations for _, _, r in group if r is not None)
+        for group in (first, second, third)
+    ]
+    scored = [e for e in curve if e["risk"] is not None]
+    assert all(e["risk"] > 0 for e in scored)
+    assert calib.risk_multiplier == min(scored, key=lambda e: e["risk"])["multiplier"]
+
+
+def test_manifest_records_risk_curve_with_null_for_divergence(tmp_path, monkeypatch):
+    cfg = calibrated_config(tmp_path)
+    calls = _record_solves(monkeypatch, fail_at=(0,))
+    run_experiment(cfg)
+    text = (tmp_path / "tiny_manifest.json").read_text()
+    assert "Infinity" not in text
+    manifest = json.loads(text)
+    curve = manifest["calibration_risk_curve"]
+    assert [e["multiplier"] for e in curve] == list(cfg.risk_multipliers)
+    assert curve[0] == {"multiplier": 1.0, "risk": None, "iterations": 0}
+    assert sum(e["iterations"] for e in curve) == sum(
+        r.iterations for _, _, r in calls[: 1 + 3 * (len(curve) - 1)] if r is not None
+    )
+    # the warm starts stay out of the recorded configuration
+    assert manifest["config"]["solver"]["l_init"] is None
+    assert manifest["config"]["solver"]["s_init"] is None
+
+
 def test_manifest_written_with_config(tmp_path):
     cfg = tiny_config(tmp_path)
     run_experiment(cfg)
@@ -224,6 +315,7 @@ def test_manifest_written_with_config(tmp_path):
     assert config_to_dict(config_from_dict(manifest["config"])) == config_to_dict(cfg)
     assert manifest["risk_multiplier"] == 1.0
     assert manifest["calibration_failed_pilots"] == []
+    assert manifest["calibration_risk_curve"] == []
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

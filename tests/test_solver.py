@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,112 @@ def test_solve_runs_one_svd_per_prox_step(monkeypatch):
     assert calls["prox"] >= result.iterations > 1
     # one SVD for the initial objective, then one per prox step
     assert calls["svd"] == 1 + calls["prox"]
+
+
+def _reference_solve(ctx, lambdas, cfg):
+    """The solver loop as it was before the loss and gradient shared one
+    product: loss and gradient each recompute a @ c_n through the validating
+    public contrast functions.  Kept as the oracle of `solve`; also returns
+    how often the line search shrank the step."""
+    lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
+    d, dn = ctx.d, ctx.delta_n
+    l_cur = np.zeros((d, d)) if cfg.l_init is None else np.array(cfg.l_init, dtype=float)
+    s_cur = np.zeros((d, d)) if cfg.s_init is None else np.array(cfg.s_init, dtype=float)
+    if cfg.step_init is not None:
+        tau = cfg.step_init
+    else:
+        lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(ctx.c_n)[-1])
+        tau = 1.0 / lip if lip > 0 else 1.0
+    f_cur = loss(ctx, l_cur + s_cur) + lam_star * nuclear_norm(l_cur) + lam_one * l1_norm(s_cur)
+    trace = [f_cur]
+    l_prev, s_prev = l_cur, s_cur
+    t_mom, t_mom_prev = 1.0, 1.0
+    converged = False
+    iterations = backtracks = 0
+    for it in range(1, cfg.max_iters + 1):
+        iterations = it
+        if cfg.acceleration and t_mom > 1.0:
+            beta = (t_mom_prev - 1.0) / t_mom
+            l_pt = l_cur + beta * (l_cur - l_prev)
+            s_pt = s_cur + beta * (s_cur - s_prev)
+        else:
+            l_pt, s_pt = l_cur, s_cur
+        for _restart in range(2):
+            a_pt = l_pt + s_pt
+            f_pt = loss(ctx, a_pt)
+            g = gradient(ctx, a_pt)
+            while True:
+                l_new, s_new, nuc_new = solver._prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
+                dl = l_new - l_pt
+                ds = s_new - s_pt
+                f_smooth = loss(ctx, l_new + s_new)
+                bound = (
+                    f_pt
+                    + float(np.sum(g * dl)) + float(np.sum(g * ds))
+                    + (float(np.sum(dl * dl)) + float(np.sum(ds * ds))) / (2.0 * tau)
+                )
+                if f_smooth <= bound + 1e-14 * max(1.0, abs(bound)):
+                    break
+                tau *= cfg.backtracking_factor
+                backtracks += 1
+            f_new = f_smooth + lam_star * nuc_new + lam_one * l1_norm(s_new)
+            if f_new <= f_cur or not cfg.acceleration or (l_pt is l_cur and s_pt is s_cur):
+                break
+            t_mom = 1.0
+            l_pt, s_pt = l_cur, s_cur
+        momentum_step = l_pt is not l_cur or s_pt is not s_cur
+        l_prev, s_prev = l_cur, s_cur
+        l_cur, s_cur = l_new, s_new
+        rel_decrease = (f_cur - f_new) / max(1.0, abs(f_cur))
+        f_cur = min(f_new, f_cur)
+        trace.append(f_cur)
+        if momentum_step and rel_decrease <= 0.0:
+            t_mom = 1.0
+            continue
+        t_mom_prev = t_mom
+        t_mom = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        if rel_decrease < cfg.tol:
+            converged = True
+            break
+    result = solver.EstimateResult(
+        l_hat=l_cur, s_hat=s_cur, a_hat=l_cur + s_cur, objective_trace=np.array(trace),
+        iterations=iterations, converged=converged,
+        lambda_star_used=lam_star, lambda_one_used=lam_one,
+    )
+    return result, backtracks
+
+
+@pytest.mark.parametrize("acceleration", [True, False])
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("step_scale", [None, 100.0])
+def test_solve_matches_reference_loop(acceleration, start, step_scale):
+    # criterion-5-style contexts; a step 100x the inverse Lipschitz constant
+    # forces the line search to backtrack
+    rng = np.random.default_rng(5)
+    for k in range(4):
+        d = int(rng.integers(4, 16))
+        _, ctx = make_ctx(d=d, n=600, seed=100 + k)
+        lam = tune_lambdas(d, ctx.n * ctx.delta_n, TuningConfig(c_op=0.02, c_one=0.005))
+        lip = 2.0 * ctx.delta_n**2 * float(np.linalg.eigvalsh(ctx.c_n)[-1])
+        step_init = None if step_scale is None else step_scale / lip
+        cfg = SolverConfig(acceleration=acceleration, step_init=step_init, max_iters=400)
+        if start == "warm":
+            prev = solve(ctx, (2.0 * lam[0], 2.0 * lam[1]), cfg)
+            cfg = replace(cfg, l_init=prev.l_hat, s_init=prev.s_hat)
+        got = solve(ctx, lam, cfg)
+        want, backtracks = _reference_solve(ctx, lam, cfg)
+        np.testing.assert_array_equal(got.l_hat, want.l_hat)
+        np.testing.assert_array_equal(got.s_hat, want.s_hat)
+        np.testing.assert_array_equal(got.a_hat, want.a_hat)
+        np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert step_scale is None or backtracks > 0
+
+        final = (
+            loss(ctx, got.l_hat + got.s_hat)
+            + lam[0] * nuclear_norm(got.l_hat) + lam[1] * l1_norm(got.s_hat)
+        )
+        assert got.objective_trace[-1] == pytest.approx(final, rel=1e-12, abs=0.0)
 
 
 def test_tune_lambdas_formula():
@@ -183,6 +290,22 @@ def test_divergence_error_on_nonfinite_start():
     huge = np.full((ctx.d, ctx.d), 1e200)
     with pytest.raises(DivergenceError):
         solve(ctx, (0.1, 0.1), SolverConfig(l_init=huge, s_init=huge))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("l_init", np.ones((1, 5))),  # once broadcast into a 5x5 start
+        ("s_init", np.ones(5)),
+        ("l_init", np.ones((5, 5, 1))),
+        ("s_init", np.full((5, 5), np.nan)),
+        ("l_init", np.full((5, 5), np.inf)),
+    ],
+)
+def test_malformed_warm_start_rejected(field, value):
+    _, ctx = make_ctx(seed=6, n=50)
+    with pytest.raises(ValueError, match=field):
+        solve(ctx, (0.1, 0.1), SolverConfig(**{field: value}))
 
 
 def test_scaling_covariance_of_argmin():
