@@ -2,7 +2,6 @@
 
 from .matrix_ops import (
     DEFAULT_TOLS,
-    SvdResult,
     TangentSpaces,
     Tolerances,
     frobenius_norm,
@@ -17,7 +16,6 @@ from .matrix_ops import (
     project_ts_perp,
     singular_value_threshold,
     soft_threshold,
-    svd,
 )
 from .models import (
     DriftModel,
@@ -25,9 +23,7 @@ from .models import (
     IncoherenceReport,
     estimate_incoherence,
     generate_drift,
-    load_drift_model,
     lyapunov_stationary_cov,
-    save_drift_model,
 )
 from .simulate import (
     LevyRegime,
@@ -36,7 +32,6 @@ from .simulate import (
     SimulationBlowupError,
     derive_seed,
     empirical_trunc_moment,
-    sample_levy_increment,
     simulate_path,
 )
 from .contrast import (

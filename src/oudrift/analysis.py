@@ -79,7 +79,6 @@ class RscReport:
 
     min_eig_cn: float
     c_b_proxy: Optional[float]
-    kappa_est: float
     passes: Optional[bool]
 
 
@@ -145,12 +144,11 @@ def verify_rsc(
     compare the floor to: the report states the floor and passes is None."""
     min_eig = float(np.linalg.eigvalsh(ctx.c_n)[0])
     if reference_cov is None:
-        return RscReport(min_eig_cn=min_eig, c_b_proxy=None, kappa_est=min_eig, passes=None)
+        return RscReport(min_eig_cn=min_eig, c_b_proxy=None, passes=None)
     c_b = float(np.linalg.eigvalsh(as_matrix(reference_cov))[0])
     return RscReport(
         min_eig_cn=min_eig,
         c_b_proxy=c_b,
-        kappa_est=min_eig,
         passes=bool(min_eig >= c_b / 2.0),
     )
 

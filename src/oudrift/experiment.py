@@ -21,9 +21,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .models import GenerationError, generate_drift, lyapunov_stationary_cov
 from .simulate import (
     REGIME_TAGS,
     LevyRegime,
-    ObservationSet,
     PathConfig,
     SimulationBlowupError,
     derive_seed,
@@ -221,67 +220,27 @@ def regime_preset(name: str) -> ExperimentConfig:
     """
     if name == "continuous":
         d = 20
-        regime = LevyRegime(tag="continuous", sigma=np.eye(d))
         return ExperimentConfig(
-            regime=regime,
+            regime=LevyRegime(tag="continuous", sigma=np.eye(d)),
             d=d,
             r=2,
             s=20,
             t_sweep=(250.0, 500.0, 1000.0, 2000.0),
             delta_n=0.05,
-            substeps=10,
-            replicates=20,
             name="continuous",
         )
-    if name == "bounded":
-        d = 10
-        regime = LevyRegime(
-            tag="bounded", sigma=0.5 * np.eye(d), jump_rate=1.0, jump_scale=0.5, z0=1.0
-        )
-        return ExperimentConfig(
-            regime=regime,
-            d=d,
-            r=1,
-            s=10,
-            t_sweep=(250.0, 500.0, 1000.0),
-            delta_n=0.1,
-            substeps=10,
-            replicates=20,
-            name="bounded",
-        )
-    if name == "subweibull":
-        d = 10
-        regime = LevyRegime(
-            tag="subweibull", sigma=0.5 * np.eye(d), jump_rate=1.0, jump_scale=0.5, alpha=1.0
-        )
-        return ExperimentConfig(
-            regime=regime,
-            d=d,
-            r=1,
-            s=10,
-            t_sweep=(250.0, 500.0, 1000.0),
-            delta_n=0.1,
-            substeps=10,
-            replicates=20,
-            name="subweibull",
-        )
-    if name == "polymoment":
-        d = 10
-        regime = LevyRegime(
-            tag="polymoment", sigma=0.5 * np.eye(d), jump_rate=1.0, jump_scale=0.5, p=4.0
-        )
-        return ExperimentConfig(
-            regime=regime,
-            d=d,
-            r=1,
-            s=10,
-            t_sweep=(250.0, 500.0, 1000.0),
-            delta_n=0.1,
-            substeps=10,
-            replicates=20,
-            name="polymoment",
-        )
-    raise ValueError(f"unknown preset {name!r}; expected one of {REGIME_TAGS}")
+    if name not in REGIME_TAGS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {REGIME_TAGS}")
+    d = 10
+    return ExperimentConfig(
+        regime=LevyRegime(tag=name, sigma=0.5 * np.eye(d), jump_rate=1.0, jump_scale=0.5),
+        d=d,
+        r=1,
+        s=10,
+        t_sweep=(250.0, 500.0, 1000.0),
+        delta_n=0.1,
+        name=name,
+    )
 
 
 def _resolved_gamma(cfg: ExperimentConfig) -> float:
@@ -290,7 +249,25 @@ def _resolved_gamma(cfg: ExperimentConfig) -> float:
     return cfg.tuning.gamma_value
 
 
-def _build_localized_context(cfg: ExperimentConfig, obs: ObservationSet):
+def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
+    """Drift, path, localization and contrast context of the replicate (or
+    calibration pilot) with this seed at horizon t.
+
+    Calls the other layers through this module's globals, so a tracer that
+    wraps them sees every call.
+    """
+    pcfg = PathConfig(
+        delta_n=cfg.delta_n,
+        n_obs=max(int(round(t / cfg.delta_n)), 1),
+        substeps=cfg.substeps,
+        seed=derive_seed(seed, "path"),
+    )
+    model = generate_drift(
+        cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
+        spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
+        sparse_magnitude=cfg.sparse_magnitude,
+    )
+    obs = simulate_path(model, cfg.regime, pcfg)
     loc = localization_from_observations(
         obs,
         radius_mult=cfg.localization.radius_mult,
@@ -299,7 +276,7 @@ def _build_localized_context(cfg: ExperimentConfig, obs: ObservationSet):
         radius_b=cfg.localization.radius_b,
         eta=cfg.localization.eta,
     )
-    return loc, build_context(obs, loc)
+    return model, obs, loc, build_context(obs, loc)
 
 
 @dataclass(frozen=True)
@@ -373,20 +350,8 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     failed = []
     for k in range(cfg.calibration_reps):
         seed = derive_seed(cfg.seed_base, "calibration", k)
-        pcfg = PathConfig(
-            delta_n=cfg.delta_n,
-            n_obs=max(int(round(t / cfg.delta_n)), 1),
-            substeps=cfg.substeps,
-            seed=derive_seed(seed, "path"),
-        )
         try:
-            model = generate_drift(
-                cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
-                spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
-                sparse_magnitude=cfg.sparse_magnitude,
-            )
-            obs = simulate_path(model, cfg.regime, pcfg)
-            _, ctx = _build_localized_context(cfg, obs)
+            model, _, _, ctx = _replicate_data(cfg, t, seed)
         except _REPLICATE_ERRORS as exc:
             message = _error_message(exc)
             logger.warning("calibration pilot %d (seed %d) dropped: %s", k, seed, message)
@@ -450,56 +415,11 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     )
 
 
-def _failed_row(cfg, t, rep, seed, message) -> dict:
-    row = {col: "" for col in RESULT_COLUMNS}
-    row.update(
-        regime=cfg.regime.tag,
-        d=cfg.d,
-        r=cfg.r,
-        s=cfg.s,
-        delta_n=cfg.delta_n,
-        substeps=cfg.substeps,
-        t_horizon=t,
-        replicate=rep,
-        seed=seed,
-        failed=1,
-        error=message,
-    )
-    return row
-
-
 def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) -> dict:
     """One replicate: generate, simulate, estimate, certify; returns a row."""
     start = time.perf_counter()
     seed = derive_seed(cfg.seed_base, "row", t, rep)
-    pcfg = PathConfig(
-        delta_n=cfg.delta_n,
-        n_obs=max(int(round(t / cfg.delta_n)), 1),
-        substeps=cfg.substeps,
-        seed=derive_seed(seed, "path"),
-    )
-    lambdas = tune_lambdas(cfg.d, t, calib.solver_tuning)
-    cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
-    try:
-        model = generate_drift(
-            cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
-            spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
-            sparse_magnitude=cfg.sparse_magnitude,
-        )
-        obs = simulate_path(model, cfg.regime, pcfg)
-        loc, ctx = _build_localized_context(cfg, obs)
-        result = solve(ctx, lambdas, cfg.solver)
-    except _REPLICATE_ERRORS as exc:
-        return _failed_row(cfg, t, rep, seed, _error_message(exc))
-
-    metrics = compute_error_metrics(model, result)
-    cone = cone_membership(
-        model.tangent, result.l_hat - model.l0, result.s_hat - model.s0
-    )
-    dual = verify_dual_bounds(ctx, model, cert_lambdas)
-    reference = lyapunov_stationary_cov(model.a0, total_noise_cov(cfg.regime, cfg.d))
-    rsc = verify_rsc(ctx, reference_cov=reference)
-    return {
+    row = {  # the identity columns, which a failed row also fills
         "regime": cfg.regime.tag,
         "d": cfg.d,
         "r": cfg.r,
@@ -509,9 +429,28 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
         "t_horizon": t,
         "replicate": rep,
         "seed": seed,
+    }
+    lambdas = tune_lambdas(cfg.d, t, calib.solver_tuning)
+    cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
+    try:
+        model, obs, loc, ctx = _replicate_data(cfg, t, seed)
+        result = solve(ctx, lambdas, cfg.solver)
+    except _REPLICATE_ERRORS as exc:
+        message = _error_message(exc)
+        return {**dict.fromkeys(RESULT_COLUMNS, ""), **row, "failed": 1, "error": message}
+
+    metrics = compute_error_metrics(model, result)
+    cone = cone_membership(
+        model.tangent, result.l_hat - model.l0, result.s_hat - model.s0
+    )
+    dual = verify_dual_bounds(ctx, model, cert_lambdas)
+    reference = lyapunov_stationary_cov(model.a0, total_noise_cov(cfg.regime, cfg.d))
+    rsc = verify_rsc(ctx, reference_cov=reference)
+    return {
+        **row,
         "failed": 0,
         "error": "",
-        "n_obs": pcfg.n_obs,
+        "n_obs": obs.n_obs,
         "n_active": ctx.n_active,
         "radius_b": loc.radius_b,
         "eta": loc.eta,
@@ -733,130 +672,67 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
     return out
 
 
+def _to_json(value):
+    """A dataclass as a dict in field order, a tuple or ndarray as a nested
+    list; anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, np.ndarray)):
+        return np.asarray(value).tolist()
+    return value
+
+
+def _from_json(cls, doc, path: str = ""):
+    """Dataclass `cls` from the dict `doc`, each value cast by its type hint.
+
+    Raises ValueError naming the key path of an unknown key, of a missing
+    key without a default, or of a value the hint cannot take.  A missing
+    key with a default takes the default.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"config key {path.rstrip('.') or '<root>'!r} must be an object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config key {path + unknown[0]!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, f in known.items():
+        key = path + name
+        if name in doc:
+            kwargs[name] = _cast(hints[name], doc[name], key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing config key {key!r}")
+    return cls(**kwargs)
+
+
+def _cast(hint, value, key: str):
+    """`value` as type `hint`; a ValueError names the key path `key`."""
+    args = get_args(hint)
+    if type(None) in args:  # Optional[X]
+        if value is None:
+            return None
+        hint = next(a for a in args if a is not type(None))
+    if is_dataclass(hint):
+        return _from_json(hint, value, key + ".")
+    try:
+        if hint is np.ndarray:
+            return np.array(value, dtype=float)
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    regime = cfg.regime
-    return {
-        "regime": {
-            "tag": regime.tag,
-            "sigma": None if regime.sigma is None else regime.sigma.tolist(),
-            "jump_rate": regime.jump_rate,
-            "jump_scale": regime.jump_scale,
-            "z0": regime.z0,
-            "alpha": regime.alpha,
-            "p": regime.p,
-        },
-        "d": cfg.d,
-        "r": cfg.r,
-        "s": cfg.s,
-        "t_sweep": list(cfg.t_sweep),
-        "delta_n": cfg.delta_n,
-        "substeps": cfg.substeps,
-        "replicates": cfg.replicates,
-        "seed_base": cfg.seed_base,
-        "localization": {
-            "radius_mult": cfg.localization.radius_mult,
-            "eta_mult": cfg.localization.eta_mult,
-            "radius_b": cfg.localization.radius_b,
-            "eta": cfg.localization.eta,
-        },
-        "tuning": {
-            "c_op": cfg.tuning.c_op,
-            "c_one": cfg.tuning.c_one,
-            "gamma_value": cfg.tuning.gamma_value,
-            "explicit_lambdas": (
-                None
-                if cfg.tuning.explicit_lambdas is None
-                else list(cfg.tuning.explicit_lambdas)
-            ),
-        },
-        "solver": {
-            "max_iters": cfg.solver.max_iters,
-            "tol": cfg.solver.tol,
-            "step_init": cfg.solver.step_init,
-            "backtracking_factor": cfg.solver.backtracking_factor,
-            "acceleration": cfg.solver.acceleration,
-            "l_init": None if cfg.solver.l_init is None else np.asarray(cfg.solver.l_init).tolist(),
-            "s_init": None if cfg.solver.s_init is None else np.asarray(cfg.solver.s_init).tolist(),
-        },
-        "output_dir": cfg.output_dir,
-        "name": cfg.name,
-        "spectral_floor": cfg.spectral_floor,
-        "lowrank_scale": cfg.lowrank_scale,
-        "sparse_magnitude": list(cfg.sparse_magnitude),
-        "gamma_auto": cfg.gamma_auto,
-        "calibrate": cfg.calibrate,
-        "calibration_quantile": cfg.calibration_quantile,
-        "calibration_reps": cfg.calibration_reps,
-        "calibration_safety": cfg.calibration_safety,
-        "risk_calibration": cfg.risk_calibration,
-        "risk_multipliers": list(cfg.risk_multipliers),
-    }
-
-
-def _matrix_or_none(value) -> Optional[np.ndarray]:
-    return None if value is None else np.array(value, dtype=float)
+    """The JSON form of a config, as written to manifests and presets."""
+    return _to_json(cfg)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    reg = doc["regime"]
-    regime = LevyRegime(
-        tag=reg["tag"],
-        sigma=None if reg["sigma"] is None else np.array(reg["sigma"], dtype=float),
-        jump_rate=reg["jump_rate"],
-        jump_scale=reg["jump_scale"],
-        z0=reg["z0"],
-        alpha=reg["alpha"],
-        p=reg["p"],
-    )
-    tun = doc["tuning"]
-    loc = doc["localization"]
-    sol = doc["solver"]
-    return ExperimentConfig(
-        regime=regime,
-        d=int(doc["d"]),
-        r=int(doc["r"]),
-        s=int(doc["s"]),
-        t_sweep=tuple(doc["t_sweep"]),
-        delta_n=float(doc["delta_n"]),
-        substeps=int(doc["substeps"]),
-        replicates=int(doc["replicates"]),
-        seed_base=int(doc["seed_base"]),
-        localization=LocalizationRule(
-            radius_mult=loc["radius_mult"],
-            eta_mult=loc["eta_mult"],
-            radius_b=loc["radius_b"],
-            eta=loc["eta"],
-        ),
-        tuning=TuningConfig(
-            c_op=tun["c_op"],
-            c_one=tun["c_one"],
-            gamma_value=tun["gamma_value"],
-            explicit_lambdas=(
-                None
-                if tun["explicit_lambdas"] is None
-                else tuple(tun["explicit_lambdas"])
-            ),
-        ),
-        solver=SolverConfig(
-            max_iters=int(sol["max_iters"]),
-            tol=float(sol["tol"]),
-            step_init=sol["step_init"],
-            backtracking_factor=float(sol["backtracking_factor"]),
-            acceleration=bool(sol["acceleration"]),
-            # manifests written before the warm starts were stored lack them
-            l_init=_matrix_or_none(sol.get("l_init")),
-            s_init=_matrix_or_none(sol.get("s_init")),
-        ),
-        output_dir=doc["output_dir"],
-        name=doc["name"],
-        spectral_floor=float(doc["spectral_floor"]),
-        lowrank_scale=float(doc["lowrank_scale"]),
-        sparse_magnitude=tuple(doc["sparse_magnitude"]),
-        gamma_auto=bool(doc["gamma_auto"]),
-        calibrate=bool(doc["calibrate"]),
-        calibration_quantile=float(doc["calibration_quantile"]),
-        calibration_reps=int(doc["calibration_reps"]),
-        calibration_safety=float(doc["calibration_safety"]),
-        risk_calibration=bool(doc["risk_calibration"]),
-        risk_multipliers=tuple(doc["risk_multipliers"]),
-    )
+    """The config of a JSON document written by `config_to_dict`.
+
+    Raises ValueError naming the key path of an unknown key at any level or
+    of a missing required field; missing optional keys (for example the
+    solver warm starts in older manifests) take their defaults.
+    """
+    return _from_json(ExperimentConfig, doc)

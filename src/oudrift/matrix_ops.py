@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLS",
-    "SvdResult",
     "TangentSpaces",
     "as_matrix",
     "frobenius_norm",
@@ -22,7 +21,6 @@ __all__ = [
     "operator_norm",
     "l1_norm",
     "linf_norm",
-    "svd",
     "numerical_rank",
     "project_tl",
     "project_tl_perp",
@@ -89,24 +87,6 @@ def linf_norm(m) -> float:
     """Entry-wise maximum absolute value."""
     m = as_matrix(m)
     return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD m = u @ diag(singular_values) @ vt, singular values non-increasing."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.vt
-
-
-def svd(m) -> SvdResult:
-    m = as_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u=u, singular_values=s, vt=vt)
 
 
 def numerical_rank(m, rank_tol: float = DEFAULT_TOLS.rank_rel) -> int:

@@ -10,7 +10,6 @@ sparse part, which keeps the low-rank factors and their tangent space exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,10 +36,6 @@ __all__ = [
     "generate_drift",
     "estimate_incoherence",
     "lyapunov_stationary_cov",
-    "drift_model_to_dict",
-    "drift_model_from_dict",
-    "save_drift_model",
-    "load_drift_model",
 ]
 
 
@@ -104,7 +99,6 @@ class IncoherenceReport:
     xi_l_est: float
     xi_s_est: float
     passes: bool
-    samples_used: int
 
 
 def generate_drift(
@@ -217,7 +211,7 @@ def estimate_incoherence(
 
     if ts.rank == 0:
         # No low-rank part: the split is trivially identifiable.
-        return IncoherenceReport(0.0, 0.0, True, n_samples)
+        return IncoherenceReport(0.0, 0.0, True)
 
     support = sorted(ts.support)
     xi_l = 0.0
@@ -250,7 +244,6 @@ def estimate_incoherence(
         xi_l_est=float(xi_l),
         xi_s_est=float(xi_s),
         passes=bool(xi_l + xi_s < 1.0),
-        samples_used=n_samples,
     )
 
 
@@ -295,54 +288,3 @@ def lyapunov_stationary_cov(a0, sigma_z) -> np.ndarray:
         f"sign iteration did not converge in {_LYAPUNOV_MAX_ITERS} steps "
         f"(last relative step {step:.3g})"
     )
-
-
-def drift_model_to_dict(model: DriftModel) -> dict:
-    return {
-        "d": model.d,
-        "r": model.r,
-        "s": model.s,
-        "l0": model.l0.tolist(),
-        "s0": model.s0.tolist(),
-        "u0": model.tangent.u0.tolist(),
-        "v0": model.tangent.v0.tolist(),
-        "support": sorted([int(i), int(j)] for i, j in model.tangent.support),
-        "stability_margin": model.stability_margin,
-        "seed": model.seed,
-    }
-
-
-def drift_model_from_dict(doc: dict) -> DriftModel:
-    l0 = np.array(doc["l0"], dtype=float)
-    s0 = np.array(doc["s0"], dtype=float)
-    d = int(doc["d"])
-    u0 = np.array(doc["u0"], dtype=float)
-    v0 = np.array(doc["v0"], dtype=float)
-    if u0.ndim != 2:  # empty bases serialize as d empty rows
-        u0 = u0.reshape(d, 0)
-    if v0.ndim != 2:
-        v0 = v0.reshape(d, 0)
-    tangent = TangentSpaces(
-        u0=u0, v0=v0, support=frozenset((i, j) for i, j in doc["support"])
-    )
-    return DriftModel(
-        d=d,
-        r=int(doc["r"]),
-        s=int(doc["s"]),
-        l0=l0,
-        s0=s0,
-        a0=l0 + s0,
-        tangent=tangent,
-        stability_margin=float(doc["stability_margin"]),
-        seed=doc.get("seed"),
-    )
-
-
-def save_drift_model(model: DriftModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(drift_model_to_dict(model), fh)
-
-
-def load_drift_model(path) -> DriftModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return drift_model_from_dict(json.load(fh))

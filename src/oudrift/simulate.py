@@ -48,7 +48,6 @@ __all__ = [
     "PathConfig",
     "ObservationSet",
     "SimulationBlowupError",
-    "sample_levy_increment",
     "simulate_path",
     "empirical_trunc_moment",
     "derive_seed",
@@ -105,11 +104,6 @@ class LevyRegime:
             raise ValueError("p must exceed 2")
         if self.tag == "continuous" and self.jump_rate != 0.0:
             raise ValueError("continuous regime cannot carry jumps")
-
-    def dimension(self) -> int:
-        if self.sigma is None:
-            raise ValueError("regime has no sigma; dimension is ambiguous")
-        return self.sigma.shape[0]
 
 
 @dataclass(frozen=True)
@@ -237,15 +231,6 @@ def _sample_increments(
         counts, sizes = jumps
         np.add.at(out, np.repeat(np.arange(n), counts), sizes)
     return out
-
-
-def sample_levy_increment(regime: LevyRegime, dt: float, rng: np.random.Generator, d: Optional[int] = None) -> np.ndarray:
-    """One increment of the driving noise over a window of length dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if d is None:
-        d = regime.dimension()
-    return _sample_increments(regime, dt, 1, d, rng)[0]
 
 
 # Observation windows whose normals are drawn and reduced at a time, so the

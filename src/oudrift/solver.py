@@ -13,7 +13,6 @@ objective, so the recorded objective trace is non-increasing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,10 +46,6 @@ __all__ = [
     "tune_lambdas",
     "solve",
     "check_optimality",
-    "estimate_result_to_dict",
-    "estimate_result_from_dict",
-    "save_estimate_result",
-    "load_estimate_result",
 ]
 
 
@@ -365,39 +360,3 @@ def check_optimality(
         passes=bool(nuc_res <= tol_cert and l1_res <= tol_cert),
         tol_cert=tol_cert,
     )
-
-
-def estimate_result_to_dict(result: EstimateResult) -> dict:
-    return {
-        "l_hat": result.l_hat.tolist(),
-        "s_hat": result.s_hat.tolist(),
-        "a_hat": result.a_hat.tolist(),
-        "objective_trace": result.objective_trace.tolist(),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "lambda_star_used": result.lambda_star_used,
-        "lambda_one_used": result.lambda_one_used,
-    }
-
-
-def estimate_result_from_dict(doc: dict) -> EstimateResult:
-    return EstimateResult(
-        l_hat=np.array(doc["l_hat"], dtype=float),
-        s_hat=np.array(doc["s_hat"], dtype=float),
-        a_hat=np.array(doc["a_hat"], dtype=float),
-        objective_trace=np.array(doc["objective_trace"], dtype=float),
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
-        lambda_star_used=float(doc["lambda_star_used"]),
-        lambda_one_used=float(doc["lambda_one_used"]),
-    )
-
-
-def save_estimate_result(result: EstimateResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(estimate_result_to_dict(result), fh)
-
-
-def load_estimate_result(path) -> EstimateResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return estimate_result_from_dict(json.load(fh))

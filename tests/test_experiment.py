@@ -61,11 +61,44 @@ def test_preset_contents():
 
 
 def test_config_json_round_trip_identity():
-    for name in ("continuous", "bounded", "subweibull", "polymoment"):
-        cfg = regime_preset(name)
+    base = regime_preset("bounded")
+    d = base.d
+    # no sigma, explicit lambdas and localization, a step and both warm starts
+    explicit = replace(
+        base,
+        regime=replace(base.regime, sigma=None),
+        localization=replace(base.localization, radius_b=11.0, eta=2.5),
+        tuning=replace(base.tuning, explicit_lambdas=(0.2, 0.05)),
+        solver=replace(base.solver, step_init=0.01, l_init=np.eye(d) / 7.0, s_init=np.ones((d, d))),
+    )
+    names = ("continuous", "bounded", "subweibull", "polymoment")
+    for cfg in [regime_preset(name) for name in names] + [explicit]:
         doc = config_to_dict(cfg)
         doc2 = config_to_dict(config_from_dict(json.loads(json.dumps(doc))))
         assert doc2 == doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(replicatez=3), "unknown config key 'replicatez'"),
+        (lambda doc: doc["solver"].update(tol_=1e-9), "unknown config key 'solver.tol_'"),
+        (lambda doc: doc.pop("d"), "missing config key 'd'"),
+        (lambda doc: doc["regime"].pop("tag"), "missing config key 'regime.tag'"),
+        (lambda doc: doc.update(d="ten"), "config key 'd': invalid literal"),
+        (lambda doc: doc.update(solver=5), "config key 'solver' must be an object"),
+    ],
+    ids=["unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object"],
+)
+def test_malformed_config_rejected(tmp_path, capsys, edit, message):
+    doc = config_to_dict(regime_preset("bounded"))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_config_round_trip_keeps_solver_warm_start():

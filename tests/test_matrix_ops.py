@@ -16,7 +16,6 @@ from oudrift.matrix_ops import (
     project_ts_perp,
     singular_value_threshold,
     soft_threshold,
-    svd,
 )
 
 
@@ -64,16 +63,6 @@ def test_entrywise_norms_examples():
     assert linf_norm(np.zeros((2, 2))) == 0.0
     assert l1_norm(np.eye(4)) == pytest.approx(4.0)
     assert linf_norm(np.eye(4)) == pytest.approx(1.0)
-
-
-def test_svd_contract():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        m = rng.standard_normal((rng.integers(2, 7), rng.integers(2, 7)))
-        res = svd(m)
-        assert np.all(np.diff(res.singular_values) <= 1e-15)
-        rel = frobenius_norm(res.reconstruct() - m) / max(frobenius_norm(m), 1e-300)
-        assert rel <= 1e-8
 
 
 def test_duality_sanity_random_pairs():

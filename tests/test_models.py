@@ -1,18 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
 from oudrift.matrix_ops import numerical_rank
 from oudrift.models import (
     DriftModel,
-    drift_model_from_dict,
-    drift_model_to_dict,
     estimate_incoherence,
     generate_drift,
-    load_drift_model,
     lyapunov_stationary_cov,
-    save_drift_model,
 )
 
 
@@ -220,19 +214,3 @@ def test_lyapunov_d120_generated_drift():
     assert resid <= 1e-10
     np.testing.assert_array_equal(c, c.T)
     assert np.min(np.linalg.eigvalsh(c)) >= 0.0
-
-
-def test_json_round_trip(tmp_path):
-    model = generate_drift(d=5, r=2, s=4, seed=21)
-    doc = drift_model_to_dict(model)
-    json.dumps(doc)  # must be JSON-serializable
-    back = drift_model_from_dict(doc)
-    assert np.array_equal(back.a0, model.a0)
-    assert back.tangent.support == model.tangent.support
-    assert back.seed == model.seed
-
-    path = tmp_path / "model.json"
-    save_drift_model(model, path)
-    loaded = load_drift_model(path)
-    assert np.array_equal(loaded.a0, model.a0)
-    assert np.array_equal(loaded.tangent.u0, model.tangent.u0)

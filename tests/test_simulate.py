@@ -14,7 +14,6 @@ from oudrift.simulate import (
     SimulationBlowupError,
     derive_seed,
     empirical_trunc_moment,
-    sample_levy_increment,
     simulate_path,
 )
 from oudrift.simulate import DRAW_WINDOWS, _sample_increments
@@ -35,11 +34,8 @@ def test_regime_validation():
 
 def test_continuous_zero_sigma_gives_zero_increment():
     regime = LevyRegime(tag="continuous", sigma=np.zeros((3, 3)))
-    rng = np.random.default_rng(0)
-    inc = sample_levy_increment(regime, dt=0.5, rng=rng)
-    np.testing.assert_array_equal(inc, np.zeros(3))
-    with pytest.raises(ValueError):
-        sample_levy_increment(regime, dt=0.0, rng=rng)
+    inc = _sample_increments(regime, 0.5, 1, 3, np.random.default_rng(0))
+    np.testing.assert_array_equal(inc, np.zeros((1, 3)))
 
 
 def test_continuous_monte_carlo_moments():

@@ -14,8 +14,6 @@ from oudrift.solver import (
     SolverConfig,
     TuningConfig,
     check_optimality,
-    estimate_result_from_dict,
-    estimate_result_to_dict,
     gamma_factor,
     solve,
     tune_lambdas,
@@ -364,23 +362,3 @@ def test_check_optimality_zero_lambda_reports_gradient_norms():
     g = gradient(ctx, res.a_hat)
     assert rep.nuclear_residual == pytest.approx(operator_norm(g))
     assert rep.l1_residual == pytest.approx(linf_norm(g))
-
-
-def test_estimate_result_serialization_round_trip(tmp_path):
-    from oudrift.solver import load_estimate_result, save_estimate_result
-
-    _, ctx = make_ctx(seed=10, n=100)
-    lam = (0.01, 0.004)
-    res = solve(ctx, lam, SolverConfig(max_iters=200))
-    doc = estimate_result_to_dict(res)
-    back = estimate_result_from_dict(doc)
-    np.testing.assert_array_equal(back.a_hat, res.a_hat)
-    np.testing.assert_array_equal(back.objective_trace, res.objective_trace)
-    assert back.converged == res.converged
-    assert back.lambda_star_used == res.lambda_star_used
-
-    path = tmp_path / "estimate.json"
-    save_estimate_result(res, path)
-    loaded = load_estimate_result(path)
-    np.testing.assert_array_equal(loaded.a_hat, res.a_hat)
-    np.testing.assert_array_equal(loaded.l_hat, res.l_hat)
