@@ -83,62 +83,45 @@ def localization_from_observations(
     return LocalizationConfig(radius_b=radius_b, eta=eta)
 
 
-def _reduce_terms(
-    x_prev: np.ndarray,
-    increments: np.ndarray,
-    radius_b: float,
-    eta: float,
-) -> tuple:
-    """Active mask and the three sufficient statistics of the contrast."""
-    n = x_prev.shape[0]
-    active = (np.linalg.norm(x_prev, axis=1) <= radius_b) & (
-        np.linalg.norm(increments, axis=1) <= eta
-    )
-    xa = x_prev[active]
-    da = increments[active]
-    s0 = float(np.sum(da * da)) / n
-    m1 = da.T @ xa / n
-    c_n = xa.T @ xa / n
-    c_n = (c_n + c_n.T) / 2.0
-    return active, s0, m1, c_n
-
-
 @dataclass(frozen=True)
 class ContrastContext:
-    """Immutable reduced representation of the localized contrast."""
+    """The contrast's sufficient statistics: all that loss, gradient and the
+    certificates read.  n counts every observation; n_active those that
+    survived localization and truncation."""
 
-    obs: ObservationSet
-    loc: LocalizationConfig
-    active: np.ndarray
+    d: int
+    delta_n: float
+    n: int
     n_active: int
-    c_n: np.ndarray
-    m1: np.ndarray
     s0: float
-
-    @property
-    def d(self) -> int:
-        return self.obs.d
-
-    @property
-    def delta_n(self) -> float:
-        return self.obs.delta_n
-
-    @property
-    def n(self) -> int:
-        return self.obs.n_obs
+    m1: np.ndarray
+    c_n: np.ndarray
 
 
 def build_context(obs: ObservationSet, loc: LocalizationConfig) -> ContrastContext:
-    active, s0, m1, c_n = _reduce_terms(
-        obs.states[:-1], obs.increments, loc.radius_b, loc.eta
+    """Reduce a path to the contrast's sufficient statistics (module docstring)."""
+    x_prev = obs.states[:-1]
+    increments = obs.increments
+    n = obs.n_obs
+    active = (np.linalg.norm(x_prev, axis=1) <= loc.radius_b) & (
+        np.linalg.norm(increments, axis=1) <= loc.eta
     )
     n_active = int(active.sum())
     if n_active == 0:
         raise DegenerateLocalizationError(
             f"no observation survives radius_b={loc.radius_b:g}, eta={loc.eta:g}"
         )
+    xa = x_prev[active]
+    da = increments[active]
+    c_n = xa.T @ xa / n
     return ContrastContext(
-        obs=obs, loc=loc, active=active, n_active=n_active, c_n=c_n, m1=m1, s0=s0
+        d=obs.d,
+        delta_n=obs.delta_n,
+        n=n,
+        n_active=n_active,
+        s0=float(np.sum(da * da)) / n,
+        m1=da.T @ xa / n,
+        c_n=(c_n + c_n.T) / 2.0,
     )
 
 

@@ -718,6 +718,13 @@ def _cast(hint, value, key: str):
     try:
         if hint is np.ndarray:
             return np.array(value, dtype=float)
+        # bool() and int() would take "false" as True and 2.9 as 2
+        if hint is bool and not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        if hint is int and (
+            isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+        ):
+            raise ValueError(f"expected an integer, got {value!r}")
         return hint(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None

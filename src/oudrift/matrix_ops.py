@@ -36,11 +36,7 @@ class Tolerances:
     """Central numeric-tolerance record shared across the package."""
 
     orth: float = 1e-10          # orthonormality of tangent factor bases
-    svd_recon: float = 1e-8      # relative Frobenius error of U diag(s) Vt
     rank_rel: float = 1e-8       # sigma_i counted nonzero if > rank_rel * sigma_max
-    projection: float = 1e-10    # idempotence / self-adjointness of projectors
-    prox: float = 1e-10          # prox-operator optimality checks
-    psd: float = 1e-12           # eigenvalue floor for "PSD to tolerance"
     certificate: float = 1e-4    # solver first-order-condition residuals
     support: float = 1e-6        # entry magnitude counted as nonzero support
     denom: float = 1e-14         # ratio denominators flagged as degenerate below this
@@ -109,7 +105,6 @@ class TangentSpaces:
     u0: np.ndarray
     v0: np.ndarray
     support: frozenset = field(default_factory=frozenset)
-    tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         u0 = np.asarray(self.u0, dtype=float)
@@ -124,7 +119,7 @@ class TangentSpaces:
             raise ValueError(f"u0 and v0 shapes differ: {u0.shape} vs {v0.shape}")
         for basis, name in ((u0, "u0"), (v0, "v0")):
             gram = basis.T @ basis
-            if gram.size and np.max(np.abs(gram - np.eye(r))) > self.tols.orth:
+            if gram.size and np.max(np.abs(gram - np.eye(r))) > DEFAULT_TOLS.orth:
                 raise ValueError(f"{name} columns are not orthonormal")
         for i, j in self.support:
             if not (0 <= i < d and 0 <= j < d):

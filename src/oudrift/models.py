@@ -11,7 +11,7 @@ sparse part, which keeps the low-rank factors and their tangent space exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .matrix_ops import (
     DEFAULT_TOLS,
     TangentSpaces,
-    Tolerances,
     as_matrix,
     l1_norm,
     nuclear_norm,
@@ -61,7 +60,6 @@ class DriftModel:
     tangent: TangentSpaces
     stability_margin: float
     seed: Optional[int] = None
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         l0 = as_matrix(self.l0)
@@ -74,7 +72,7 @@ class DriftModel:
         for name, m in (("l0", l0), ("s0", s0), ("a0", a0)):
             if m.shape != (d, d):
                 raise ValueError(f"{name} must be {d}x{d}, got {m.shape}")
-        if numerical_rank(l0, self.tols.rank_rel) > self.r:
+        if numerical_rank(l0) > self.r:
             raise ValueError("rank of l0 exceeds the bound r")
         if int(np.count_nonzero(s0)) > self.s:
             raise ValueError("nonzero count of s0 exceeds the bound s")

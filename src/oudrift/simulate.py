@@ -137,30 +137,32 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """States X_{t_0..t_n} on the mesh delta_n plus their increments."""
+    """States X_{t_0..t_n} on the mesh delta_n; the increments derive from them."""
 
-    d: int
-    delta_n: float
     states: np.ndarray
-    increments: np.ndarray
+    delta_n: float
 
-    @classmethod
-    def from_states(cls, states, delta_n: float) -> "ObservationSet":
-        states = np.asarray(states, dtype=float)
+    def __post_init__(self):
+        states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or states.shape[0] < 2:
             raise ValueError("states must be (n+1, d) with n >= 1")
         if not np.all(np.isfinite(states)):
             raise ValueError("states contain non-finite entries")
-        return cls(
-            d=states.shape[1],
-            delta_n=float(delta_n),
-            states=states,
-            increments=np.diff(states, axis=0),
-        )
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "delta_n", float(self.delta_n))
+
+    @property
+    def d(self) -> int:
+        return self.states.shape[1]
 
     @property
     def n_obs(self) -> int:
-        return self.increments.shape[0]
+        return self.states.shape[0] - 1
+
+    @property
+    def increments(self) -> np.ndarray:
+        """dX_k = X_{t_k} - X_{t_(k-1)}, shape (n_obs, d); computed per call."""
+        return np.diff(self.states, axis=0)
 
     def save_csv(self, path) -> None:
         """Header records d, n, delta_n; each row is t_k then the state."""
@@ -180,7 +182,7 @@ class ObservationSet:
         states = data[:, 1:]
         if states.shape[1] != int(fields["d"]) or states.shape[0] != int(fields["n"]) + 1:
             raise ValueError(f"CSV shape {states.shape} does not match header {header!r}")
-        return cls.from_states(states, delta_n)
+        return cls(states, delta_n)
 
 
 def _jump_radii(regime: LevyRegime, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -400,7 +402,7 @@ def simulate_path(
             f"state exceeded overflow guard at t={(k + 1) * cfg.delta_n:g} "
             f"(dt={dt:g}, stability_margin={model.stability_margin:g})"
         )
-    return ObservationSet.from_states(states, cfg.delta_n)
+    return ObservationSet(states, cfg.delta_n)
 
 
 def empirical_trunc_moment(obs: ObservationSet, eta: float) -> float:

@@ -117,7 +117,7 @@ def test_verify_dual_bounds_zero_lambda_fails_on_noisy_data():
 
 
 def test_verify_rsc_injected_identity():
-    obs = ObservationSet.from_states(np.vstack([np.eye(2), np.eye(2)[:1]]), 1.0)
+    obs = ObservationSet(np.vstack([np.eye(2), np.eye(2)[:1]]), 1.0)
     ctx = build_context(obs, LocalizationConfig(radius_b=10.0, eta=10.0))
     from dataclasses import replace
 
@@ -128,7 +128,7 @@ def test_verify_rsc_injected_identity():
 
 
 def test_verify_rsc_without_reference_is_unknown():
-    obs = ObservationSet.from_states(np.vstack([np.eye(2), np.eye(2)[:1]]), 1.0)
+    obs = ObservationSet(np.vstack([np.eye(2), np.eye(2)[:1]]), 1.0)
     ctx = build_context(obs, LocalizationConfig(radius_b=10.0, eta=10.0))
     rep = verify_rsc(ctx)
     assert rep.passes is None and rep.c_b_proxy is None

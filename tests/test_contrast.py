@@ -4,7 +4,6 @@ import pytest
 from oudrift.contrast import (
     DegenerateLocalizationError,
     LocalizationConfig,
-    _reduce_terms,
     build_context,
     empirical_norm_sq,
     estimate_disc_bias,
@@ -52,7 +51,7 @@ def test_build_context_total_truncation_errors():
 
 
 def test_build_context_hand_dataset():
-    obs = ObservationSet.from_states(np.array([[1.0], [3.0]]), delta_n=1.0)
+    obs = ObservationSet(np.array([[1.0], [3.0]]), delta_n=1.0)
     ctx = build_context(obs, LocalizationConfig(radius_b=2.0, eta=10.0))
     assert ctx.n_active == 1
     np.testing.assert_allclose(ctx.c_n, [[1.0]])
@@ -75,7 +74,7 @@ def test_loss_at_zero_is_mean_squared_increment():
 
 def test_loss_and_gradient_hand_case():
     # one observation: X0 = 2, dX = -1, delta_n = 0.5, a = 0.5
-    obs = ObservationSet.from_states(np.array([[2.0], [1.0]]), delta_n=0.5)
+    obs = ObservationSet(np.array([[2.0], [1.0]]), delta_n=0.5)
     ctx = build_context(obs, LocalizationConfig(radius_b=10.0, eta=10.0))
     a = np.array([[0.5]])
     # residual: -1 + 0.5 * 2 * 0.5 = -0.5
@@ -103,15 +102,21 @@ def test_gradient_matches_finite_differences():
 
 def test_empirical_norm_formulas_agree():
     _, obs = make_obs(d=3, n=150, seed=5)
-    ctx = build_context(obs, localization_from_observations(obs))
+    loc = localization_from_observations(obs, radius_mult=1.0, eta_mult=1.0)
+    ctx = build_context(obs, loc)
     rng = np.random.default_rng(1)
     x = obs.states[:-1]
+    active = (np.linalg.norm(x, axis=1) <= loc.radius_b) & (
+        np.linalg.norm(obs.increments, axis=1) <= loc.eta
+    )
+    assert 0 < active.sum() < ctx.n  # truncation is exercised
+    assert ctx.n_active == active.sum()
     for _ in range(10):
         a = rng.standard_normal((3, 3))
         direct = sum(
             float(np.sum((a @ x[k]) ** 2))
             for k in range(ctx.n)
-            if ctx.active[k]
+            if active[k]
         ) / ctx.n
         assert abs(empirical_norm_sq(ctx, a) - direct) <= 1e-10 * max(1.0, direct)
     assert empirical_norm_sq(ctx, np.zeros((3, 3))) == 0.0
@@ -163,16 +168,24 @@ def test_enlarging_localization_never_shrinks_active_set():
 
 
 def test_reduction_is_permutation_invariant():
+    # The statistics are sums over the terms (X_{k-1}, dX_k): segments of the
+    # path, reduced one by one and combined in any order, give the whole path's.
     _, obs = make_obs(d=3, n=150, seed=10)
-    x = obs.states[:-1]
-    dx = obs.increments
-    loc = localization_from_observations(obs)
-    _, s0_a, m1_a, cn_a = _reduce_terms(x, dx, loc.radius_b, loc.eta)
-    perm = np.random.default_rng(4).permutation(len(dx))
-    _, s0_b, m1_b, cn_b = _reduce_terms(x[perm], dx[perm], loc.radius_b, loc.eta)
-    assert abs(s0_a - s0_b) <= 1e-9
-    np.testing.assert_allclose(m1_a, m1_b, atol=1e-9)
-    np.testing.assert_allclose(cn_a, cn_b, atol=1e-9)
+    loc = localization_from_observations(obs, radius_mult=1.0, eta_mult=1.0)
+    whole = build_context(obs, loc)
+    assert whole.n_active < whole.n
+    cuts = [0, 30, 60, 90, 120, 150]
+    parts = [
+        build_context(ObservationSet(obs.states[lo:hi + 1], obs.delta_n), loc)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    for order in ([0, 1, 2, 3, 4], np.random.default_rng(4).permutation(5)):
+        chosen = [parts[i] for i in order]
+        assert sum(p.n_active for p in chosen) == whole.n_active
+        assert sum(p.n for p in chosen) == whole.n
+        for stat in ("s0", "m1", "c_n"):
+            combined = sum(p.n * getattr(p, stat) for p in chosen) / whole.n
+            np.testing.assert_allclose(combined, getattr(whole, stat), atol=1e-9)
 
 
 def test_disc_bias_zero_for_noiseless_linear_data():

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -87,8 +88,13 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc["regime"].pop("tag"), "missing config key 'regime.tag'"),
         (lambda doc: doc.update(d="ten"), "config key 'd': invalid literal"),
         (lambda doc: doc.update(solver=5), "config key 'solver' must be an object"),
+        (lambda doc: doc.update(calibrate="false"), "config key 'calibrate': expected true or false"),
+        (lambda doc: doc.update(replicates=2.9), "config key 'replicates': expected an integer"),
     ],
-    ids=["unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object"],
+    ids=[
+        "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
+        "bool-string", "int-fraction",
+    ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
     doc = config_to_dict(regime_preset("bounded"))
@@ -320,6 +326,24 @@ def test_calibration_diverged_pilot_resumes_from_last_success(tmp_path, monkeypa
     scored = [e for e in curve if e["risk"] is not None]
     assert all(e["risk"] > 0 for e in scored)
     assert calib.risk_multiplier == min(scored, key=lambda e: e["risk"])["multiplier"]
+
+
+def test_calibration_pilots_keep_no_path(tmp_path):
+    # A pilot keeps its drift and its reduced context, never its path, so
+    # eight pilots peak less than one path's bytes above two.
+    t = 400.0
+    cfg = calibrated_config(tmp_path, t_sweep=(t,), risk_multipliers=(1.0,))
+    path_bytes = (int(round(t / cfg.delta_n)) + 1) * cfg.d * 8
+    experiment.calibrate_tuning(replace(cfg, calibration_reps=1))  # one-time allocations
+    peaks = []
+    for reps in (2, 8):
+        tracemalloc.start()
+        try:
+            experiment.calibrate_tuning(replace(cfg, calibration_reps=reps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < path_bytes, (peaks, path_bytes)
 
 
 def test_manifest_records_risk_curve_with_null_for_divergence(tmp_path, monkeypatch):

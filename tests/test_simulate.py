@@ -255,7 +255,7 @@ def test_simulation_blowup_in_burn_in_raises():
 
 def test_empirical_trunc_moment():
     states = np.array([[0.0], [1.0], [3.0], [0.0]])  # increments 1, 2, -3
-    obs = ObservationSet.from_states(states, delta_n=0.5)
+    obs = ObservationSet(states, delta_n=0.5)
     assert empirical_trunc_moment(obs, eta=100.0) == 0.0
     assert empirical_trunc_moment(obs, eta=1e-12) == pytest.approx((1 + 4 + 9) / 3)
     assert empirical_trunc_moment(obs, eta=1.5) == pytest.approx((4 + 9) / 3)
@@ -274,6 +274,25 @@ def test_csv_round_trip_exact(tmp_path):
     assert loaded.delta_n == obs.delta_n
     np.testing.assert_array_equal(loaded.states, obs.states)
     np.testing.assert_array_equal(loaded.increments, obs.increments)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [np.arange(3.0), np.ones((1, 2)), np.array([[0.0, 1.0], [np.nan, 0.0]])],
+    ids=["1-d", "one-row", "nan"],
+)
+def test_observation_set_rejects_malformed_states(states):
+    with pytest.raises(ValueError):
+        ObservationSet(states, delta_n=0.1)
+
+
+def test_load_csv_rejects_a_lost_row(tmp_path):
+    path = tmp_path / "obs.csv"
+    ObservationSet(np.arange(8.0).reshape(4, 2), delta_n=0.5).save_csv(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="does not match header 'd=2,n=3,delta_n=0.5'"):
+        ObservationSet.load_csv(path)
 
 
 def test_path_config_validation():

@@ -20,10 +20,15 @@ from oudrift.solver import (
 )
 
 
-def make_ctx(d=5, n=500, seed=0, delta_n=0.1):
+def make_obs(d=5, n=500, seed=0, delta_n=0.1):
     model = generate_drift(d=d, r=1, s=d, seed=seed, spectral_floor=0.5)
     regime = LevyRegime(tag="continuous", sigma=np.eye(d))
     obs = simulate_path(model, regime, PathConfig(delta_n=delta_n, n_obs=n, substeps=4, seed=seed))
+    return model, obs
+
+
+def make_ctx(d=5, n=500, seed=0, delta_n=0.1):
+    model, obs = make_obs(d, n, seed, delta_n)
     return model, build_context(obs, localization_from_observations(obs))
 
 
@@ -218,7 +223,7 @@ def test_momentum_tie_does_not_stop_the_solve():
         states = simulate_path(model, regime, cfg).states
         for _ in range(3):
             jitter = 1.0 + 1e-14 * noise.standard_normal(states.shape)
-            obs = ObservationSet.from_states(states * jitter, 0.1)
+            obs = ObservationSet(states * jitter, 0.1)
             ctx = build_context(obs, localization_from_observations(obs))
             res = solve(ctx, (0.0, 0.0), SolverConfig(tol=1e-300, max_iters=200000))
             a_ls = -np.linalg.solve(ctx.c_n, ctx.m1.T).T / ctx.delta_n
@@ -307,17 +312,16 @@ def test_malformed_warm_start_rejected(field, value):
 
 
 def test_scaling_covariance_of_argmin():
-    model, ctx = make_ctx(seed=7)
+    _, obs = make_obs(seed=7)
+    loc = localization_from_observations(obs)
+    ctx = build_context(obs, loc)
     t_horizon = ctx.n * ctx.delta_n
     lam = tune_lambdas(ctx.d, t_horizon, TuningConfig(c_op=0.02, c_one=0.006))
     res1 = solve(ctx, lam, SolverConfig(tol=1e-13, max_iters=20000))
 
     c = 4.0  # scale loss by c: scale states (and hence increments) by sqrt(c)
-    obs = ctx.obs
-    obs2 = ObservationSet.from_states(np.sqrt(c) * obs.states, obs.delta_n)
-    loc2 = LocalizationConfig(
-        radius_b=np.sqrt(c) * ctx.loc.radius_b, eta=np.sqrt(c) * ctx.loc.eta
-    )
+    obs2 = ObservationSet(np.sqrt(c) * obs.states, obs.delta_n)
+    loc2 = LocalizationConfig(radius_b=np.sqrt(c) * loc.radius_b, eta=np.sqrt(c) * loc.eta)
     ctx2 = build_context(obs2, loc2)
     assert ctx2.n_active == ctx.n_active
     lam2 = (c * lam[0], c * lam[1])
