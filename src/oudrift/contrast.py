@@ -77,9 +77,10 @@ def localization_from_observations(
     eta_mult x the mean increment norm (times a regime-specific eta_scale).
     Explicit values override the rules."""
     if radius_b is None:
-        radius_b = radius_mult * float(np.sqrt(np.mean(np.sum(obs.states**2, axis=1))))
+        radius_b = radius_mult * float(np.sqrt(np.vdot(obs.states, obs.states) / len(obs.states)))
     if eta is None:
-        eta = eta_mult * float(np.mean(np.linalg.norm(obs.increments, axis=1))) * eta_scale
+        inc = obs.increments
+        eta = eta_mult * float(np.mean(np.sqrt(np.einsum("ij,ij->i", inc, inc)))) * eta_scale
     return LocalizationConfig(radius_b=radius_b, eta=eta)
 
 
@@ -101,26 +102,26 @@ class ContrastContext:
 def build_context(obs: ObservationSet, loc: LocalizationConfig) -> ContrastContext:
     """Reduce a path to the contrast's sufficient statistics (module docstring)."""
     x_prev = obs.states[:-1]
-    increments = obs.increments
+    inc = obs.increments  # a fresh array: inactive rows are zeroed in place
     n = obs.n_obs
-    active = (np.linalg.norm(x_prev, axis=1) <= loc.radius_b) & (
-        np.linalg.norm(increments, axis=1) <= loc.eta
+    active = (np.sqrt(np.einsum("ij,ij->i", x_prev, x_prev)) <= loc.radius_b) & (
+        np.sqrt(np.einsum("ij,ij->i", inc, inc)) <= loc.eta
     )
     n_active = int(active.sum())
     if n_active == 0:
         raise DegenerateLocalizationError(
             f"no observation survives radius_b={loc.radius_b:g}, eta={loc.eta:g}"
         )
+    inc[~active] = 0.0
     xa = x_prev[active]
-    da = increments[active]
     c_n = xa.T @ xa / n
     return ContrastContext(
         d=obs.d,
         delta_n=obs.delta_n,
         n=n,
         n_active=n_active,
-        s0=float(np.sum(da * da)) / n,
-        m1=da.T @ xa / n,
+        s0=float(np.vdot(inc, inc)) / n,
+        m1=inc.T @ x_prev / n,
         c_n=(c_n + c_n.T) / 2.0,
     )
 

@@ -175,6 +175,22 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.delta_n <= 0:
             raise ValueError("delta_n must be positive")
+        if self.substeps < 1:
+            raise ValueError("substeps must be >= 1")
+        sigma = self.regime.sigma
+        if sigma is not None and sigma.shape != (self.d, self.d):
+            raise ValueError(f"regime.sigma has shape {sigma.shape}; expected ({self.d}, {self.d})")
+        # the pilots would otherwise run before these fail (or are ignored)
+        if not 0.0 <= self.calibration_quantile <= 1.0:
+            raise ValueError(
+                f"calibration_quantile must lie between 0 and 1, got {self.calibration_quantile:g}"
+            )
+        if self.calibration_reps < 1:
+            raise ValueError("calibration_reps must be >= 1")
+        if self.calibration_safety <= 0:
+            raise ValueError("calibration_safety must be positive")
+        if not self.risk_multipliers or min(self.risk_multipliers) <= 0:
+            raise ValueError("risk_multipliers must be nonempty and positive")
 
 
 def _eta_scale(regime: LevyRegime, delta_n: float) -> float:

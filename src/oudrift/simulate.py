@@ -16,19 +16,19 @@ steps between two observations are applied at once:
 
     x_{k+1} = M^m x_k + u_k,    u_k = sum_j M^(m-1-j) dz_{k,j}.
 
-The fine increments are never stored.  `_window_drive` builds the (n_obs, d)
-drive u directly: it draws the normals a fixed number of windows at a time
-and reduces each chunk by one matrix product against a stack whose blocks
-are sqrt(dt) (M^(m-1-j) sigma)^T, then adds every compound-Poisson jump
-propagated from its own fine step.  `_scan` then runs the recursion as a
-two-level blocked scan over blocks of about sqrt(n_obs) observations
-(Blelloch 1990): block sums from zero, a carry loop over blocks, a batched
-fill.
+The fine normals are never drawn.  The Gaussian part of u_k is exactly
+N(0, Q_m), Q_m = dt sum_{j<m} M^j sigma sigma^T (M^j)^T, so `_window_drive`
+draws it as d normals per window times a (d, d) factor R with R^T R = Q_m,
+then adds every compound-Poisson jump propagated from its own fine step.
+`_scan` then runs the recursion as a two-level blocked scan over blocks of
+about sqrt(n_obs) observations (Blelloch 1990): block sums from zero, a
+carry loop over blocks, a batched fill.
 
-Stream contract: a path draws exactly what `_sample_increments` draws over
-the burn-in steps and then over the observed steps (all normals, then Poisson
-counts, directions and radii), so the law of the path is that of stepwise
-Euler iteration, and states differ from it only by floating-point rounding.
+Law contract: a path has the law of stepwise Euler iteration.  Over the
+burn-in and then over the observed steps it draws d normals per window (a
+partial leading window first), then the jumps as `_jump_draws` draws them.
+Without a Brownian part it draws no normals, and the path is the stepwise
+Euler path on `_sample_increments`' draws up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -220,9 +220,10 @@ def _sample_increments(
 ) -> np.ndarray:
     """n driving-noise increments over windows of length dt, shape (n, d).
 
-    This defines the random stream of a run of Euler steps: all normals of
-    the Brownian part (row-major, none when sigma is None or zero), then the
-    jumps (`_jump_draws`).  `simulate_path` draws exactly this stream.
+    The noise of n Euler steps drawn one step at a time: all normals of the
+    Brownian part (row-major, none when sigma is None or zero), then the
+    jumps (`_jump_draws`).  `simulate_path` draws the jumps the same way but
+    each window's Brownian sum from its law (module docstring).
     """
     if regime.sigma is not None and np.any(regime.sigma):
         out = np.sqrt(dt) * rng.standard_normal((n, d)) @ regime.sigma.T
@@ -235,19 +236,14 @@ def _sample_increments(
     return out
 
 
-# Observation windows whose normals are drawn and reduced at a time, so the
-# (n_obs * substeps, d) fine increments never exist at once.
-DRAW_WINDOWS = 256
-
-
 def _propagators(
     a0: np.ndarray, sigma: Optional[np.ndarray], dt: float, m: int
 ) -> tuple[list, Optional[np.ndarray]]:
     """Powers M^0..M^m of M = I - A0 dt, and the window's Gaussian stack.
 
     The stack is (m d, d) with blocks sqrt(dt) (M^(m-1-j) sigma)^T: a window's
-    m d normals, as one row, times it is sum_j M^(m-1-j) sqrt(dt) sigma g_j.
-    None when there is no Brownian part.
+    m d normals, as one row, times it is sum_j M^(m-1-j) sqrt(dt) sigma g_j,
+    whose covariance is Q_m = stack^T stack.  None without a Brownian part.
     """
     d = a0.shape[0]
     step = np.eye(d) - a0 * dt
@@ -269,26 +265,24 @@ def _window_drive(
 ) -> np.ndarray:
     """Aggregated drive of n_fine Euler steps, one row per window of m steps.
 
-    Row k is sum_j M^(m-1-j) dz_{k,j}, m = len(powers) - 1, on the draws
-    `_sample_increments(regime, dt, n_fine, d, rng)` makes.  The normals are
-    drawn DRAW_WINDOWS windows at a time and reduced by the Gaussian stack;
-    then every jump is propagated from its own step.  When m does not divide
-    n_fine, row 0 is the partial window of the leading n_fine mod m steps.
+    Row k is sum_j M^(m-1-j) dz_{k,j}, m = len(powers) - 1: d normals times
+    the stack's QR factor R (R^T R = Q_m even for a rank-deficient sigma,
+    unlike Cholesky), then every jump propagated from its own step.  When m
+    does not divide n_fine, row 0 is the partial window of the leading
+    n_fine mod m steps, whose factor is that of the stack's last blocks.
     """
     m = len(powers) - 1
     d = powers[0].shape[0]
     lead = n_fine % m
     pad = (m - lead) % m  # missing leading steps of the partial window
     n_win = -(-n_fine // m)
-    drive = np.zeros((n_win, d))
-    if gauss is not None:
-        first = 0
+    if gauss is None:
+        drive = np.zeros((n_win, d))
+    else:
+        normals = rng.standard_normal((n_win, d))
+        drive = normals @ np.linalg.qr(gauss, mode="r")
         if lead:
-            drive[0] = rng.standard_normal(lead * d) @ gauss[pad * d:]
-            first = 1
-        for lo in range(first, n_win, DRAW_WINDOWS):
-            hi = min(lo + DRAW_WINDOWS, n_win)
-            np.matmul(rng.standard_normal((hi - lo, m * d)), gauss, out=drive[lo:hi])
+            drive[0] = normals[0] @ np.linalg.qr(gauss[pad * d:], mode="r")
     jumps = _jump_draws(regime, dt, n_fine, d, rng)
     if jumps is not None:
         counts, sizes = jumps
@@ -350,17 +344,16 @@ def simulate_path(
     """Euler path of dX = -A0 X dt + dZ, recorded on the observation mesh.
 
     dt = delta_n / substeps.  The substeps between two observations are
-    applied as one aggregated step, whose drive `_window_drive` builds in
-    chunks of windows straight from the draws, and the observations follow
-    by a blocked scan (module docstring).  The draws are exactly those of
-    `_sample_increments` over the burn-in steps and then over the observed
-    steps, so the path is the stepwise Euler path up to rounding.  The start
-    is stationarized by running the same dynamics for the burn-in duration
-    from zero (or from `x0` when given; pass burn_in_time=0 to force an
-    exact injected start); its leading `n_burn mod substeps` steps form one
-    partial window.  Raises SimulationBlowupError when the state leaves the
-    overflow guard by the end of burn-in or at an observation, naming the
-    first such observation time.  Deterministic given cfg.seed.
+    applied as one aggregated step, whose drive `_window_drive` draws from
+    the window's law, and the observations follow by a blocked scan; the
+    path has the law of the stepwise Euler path (module docstring: law
+    contract).  The start is stationarized by running the same dynamics for
+    the burn-in duration from zero (or from `x0` when given; pass
+    burn_in_time=0 to force an exact injected start); its leading
+    `n_burn mod substeps` steps form one partial window.  Raises
+    SimulationBlowupError when the state leaves the overflow guard by the
+    end of burn-in or at an observation, naming the first such observation
+    time.  Deterministic given cfg.seed.
     """
     d = model.d
     if regime.sigma is not None and regime.sigma.shape[0] != d:
@@ -409,7 +402,8 @@ def empirical_trunc_moment(obs: ObservationSet, eta: float) -> float:
     """Mean of ||increment||^2 over increments with norm above eta."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    norms_sq = np.sum(obs.increments**2, axis=1)
+    inc = obs.increments
+    norms_sq = np.einsum("ij,ij->i", inc, inc)
     return float(np.mean(norms_sq * (np.sqrt(norms_sq) > eta)))
 
 

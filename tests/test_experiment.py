@@ -90,10 +90,11 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc.update(solver=5), "config key 'solver' must be an object"),
         (lambda doc: doc.update(calibrate="false"), "config key 'calibrate': expected true or false"),
         (lambda doc: doc.update(replicates=2.9), "config key 'replicates': expected an integer"),
+        (lambda doc: doc.update(calibration_quantile=1.5), "calibration_quantile must lie between 0 and 1"),
     ],
     ids=[
         "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
-        "bool-string", "int-fraction",
+        "bool-string", "int-fraction", "quantile-range",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
@@ -504,3 +505,18 @@ def test_experiment_config_validation(tmp_path):
         tiny_config(tmp_path, replicates=0)
     with pytest.raises(ValueError):
         tiny_config(tmp_path, delta_n=-0.1)
+    bad = [
+        ({"substeps": 0}, "substeps must be >= 1"),
+        ({"regime": LevyRegime(tag="continuous", sigma=np.eye(3))}, r"regime.sigma has shape \(3, 3\)"),
+        ({"calibration_quantile": 1.5}, "calibration_quantile must lie between 0 and 1"),
+        ({"calibration_quantile": -0.1}, "calibration_quantile must lie between 0 and 1"),
+        ({"calibration_reps": 0}, "calibration_reps must be >= 1"),
+        ({"calibration_safety": -1.0}, "calibration_safety must be positive"),
+        ({"calibration_safety": 0.0}, "calibration_safety must be positive"),
+        ({"risk_multipliers": ()}, "risk_multipliers must be nonempty and positive"),
+        ({"risk_multipliers": (1.0, -0.5)}, "risk_multipliers must be nonempty and positive"),
+        ({"risk_multipliers": (1.0, 0.0)}, "risk_multipliers must be nonempty and positive"),
+    ]
+    for overrides, message in bad:
+        with pytest.raises(ValueError, match=message):
+            tiny_config(tmp_path, **overrides)

@@ -16,7 +16,7 @@ from oudrift.simulate import (
     empirical_trunc_moment,
     simulate_path,
 )
-from oudrift.simulate import DRAW_WINDOWS, _sample_increments
+from oudrift.simulate import _propagators, _sample_increments, _window_drive
 
 
 def test_regime_validation():
@@ -122,26 +122,63 @@ def test_increments_match_state_differences():
     np.testing.assert_array_equal(obs.increments, np.diff(obs.states, axis=0))
 
 
-def _stepwise_euler(model, regime, cfg, x0=None):
-    """Reference: one Euler step per substep, on the draws simulate_path makes."""
+def _window_cov(step, sigma, dt, steps):
+    """Covariance of the Brownian sum over `steps` Euler steps, summed step
+    by step: sum_j dt M^j sigma sigma^T (M^j)^T."""
+    cov = np.zeros_like(step)
+    power = np.eye(len(step))
+    for _ in range(steps):
+        cov += dt * (power @ sigma) @ (power @ sigma).T
+        power = step @ power
+    return cov
+
+
+def _stepwise_euler(model, regime, cfg, x0=None, fine_normals=False):
+    """Reference: one Euler step per substep; returns the observed states.
+
+    Jumps enter at their own step, on the draws `_jump_draws` makes.  The
+    Brownian part of each window of l steps enters at the window's end, as
+    simulate_path draws it: d normals times a factor R with R^T R equal to
+    the stepwise sum of its covariance.  With fine_normals it enters step by
+    step instead, from `_sample_increments`' d normals per step, so the two
+    agree in law but not in stream.  Without sigma the two are the same.
+    """
     rng = np.random.default_rng(cfg.seed)
     d, m = model.d, cfg.substeps
     dt = cfg.delta_n / m
+    step = np.eye(d) - model.a0 * dt
     burn_time = cfg.burn_in_time
     if burn_time is None:
         burn_time = 10.0 / model.stability_margin
     n_burn = int(round(burn_time / dt))
+    brownian = regime.sigma is not None and not fine_normals
+
+    def windows(x, n_fine):
+        lead = n_fine % m
+        sizes = [lead] * (lead > 0) + [m] * (n_fine // m)
+        gauss = np.zeros((len(sizes), d))
+        if brownian:
+            for w, size in enumerate(sizes):
+                # the same QR call simulate_path makes, on the stepwise stack
+                power, blocks = np.eye(d), []
+                for _ in range(size):
+                    blocks.insert(0, np.sqrt(dt) * (power @ regime.sigma).T)
+                    power = step @ power
+                gauss[w] = rng.standard_normal(d) @ np.linalg.qr(np.concatenate(blocks), mode="r")
+        noise = replace(regime, sigma=None) if brownian else regime
+        dz = iter(_sample_increments(noise, dt, n_fine, d, rng))
+        ends = []
+        for w, size in enumerate(sizes):
+            for _ in range(size):
+                x = x - (model.a0 @ x) * dt + next(dz)
+            x = x + gauss[w]
+            ends.append(x)
+        return ends
+
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
     if n_burn > 0:
-        for dz in _sample_increments(regime, dt, n_burn, d, rng):
-            x = x - (model.a0 @ x) * dt + dz
-    dz = _sample_increments(regime, dt, cfg.n_obs * m, d, rng)
-    states = [x]
-    for k in range(cfg.n_obs):
-        for j in range(m):
-            x = x - (model.a0 @ x) * dt + dz[k * m + j]
-        states.append(x)
-    return np.array(states)
+        x = windows(x, n_burn)[-1]
+    return np.array([x] + windows(x, cfg.n_obs * m))
 
 
 REGIMES_D4 = [
@@ -150,10 +187,17 @@ REGIMES_D4 = [
     LevyRegime(tag="subweibull", sigma=0.5 * np.eye(4), jump_rate=1.0, jump_scale=0.5, alpha=1.0),
     LevyRegime(tag="polymoment", sigma=0.5 * np.eye(4), jump_rate=1.0, jump_scale=0.5, p=4.0),
 ]
+# pure-jump variants: no normals, so these paths are the stepwise Euler
+# path on `_sample_increments`' own draws
+REGIMES_D4 += [replace(regime, sigma=None) for regime in REGIMES_D4[1:]]
+
+
+def _regime_id(regime):
+    return regime.tag if regime.sigma is not None else f"{regime.tag}-nosigma"
 
 
 @pytest.mark.parametrize("substeps", [1, 3, 10])
-@pytest.mark.parametrize("regime", REGIMES_D4, ids=lambda r: r.tag)
+@pytest.mark.parametrize("regime", REGIMES_D4, ids=_regime_id)
 def test_path_matches_stepwise_euler(regime, substeps):
     model = generate_drift(d=4, r=1, s=3, seed=5)
     # 0.25 / (0.1 / m) steps of burn-in: not a multiple of m for m = 3, 10
@@ -173,9 +217,9 @@ def test_path_matches_stepwise_euler(regime, substeps):
     )
 
 
-# several draw chunks and scan blocks, and a multiple of neither
-LONG_N_OBS = 2 * DRAW_WINDOWS + 189
-assert LONG_N_OBS % DRAW_WINDOWS and LONG_N_OBS % (math.isqrt(LONG_N_OBS - 1) + 1)
+# several scan blocks, and not a multiple of the block size
+LONG_N_OBS = 701
+assert LONG_N_OBS % (math.isqrt(LONG_N_OBS - 1) + 1)
 # jump_rate * dt = 1.5 at dt = 0.1 / 3: several jumps share a fine step
 DENSE_JUMPS = LevyRegime(tag="polymoment", sigma=0.5 * np.eye(4), jump_rate=45.0, jump_scale=0.05, p=4.0)
 NO_SIGMA = LevyRegime(tag="subweibull", sigma=None, jump_rate=2.0, jump_scale=0.5, alpha=1.0)
@@ -199,6 +243,64 @@ def test_path_shapes_match_stepwise_euler(regime, n_obs):
     np.testing.assert_allclose(
         obs.states, _stepwise_euler(model, regime, cfg), rtol=1e-12, atol=1e-12
     )
+
+
+class _UnitNormals:
+    """Generator stand-in whose normals are all e_i: each drive row is then
+    row i of its window's factor."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, shape):
+        out = np.zeros(shape)
+        out[..., self.i] = 1.0
+        return out
+
+
+RANK_ONE = np.outer([1.0, -0.5, 0.25, 2.0], [0.5, 1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("m,n_fine", [(1, 5), (3, 9), (3, 11), (10, 30), (10, 27)])
+@pytest.mark.parametrize("sigma", [np.eye(4), 0.5 * np.eye(4), RANK_ONE], ids=["I", "half-I", "rank1"])
+def test_window_factor_matches_stepwise_covariance(sigma, m, n_fine):
+    model = generate_drift(d=4, r=1, s=3, seed=5)
+    dt = 0.1 / m
+    powers, gauss = _propagators(model.a0, sigma, dt, m)
+    continuous = LevyRegime(tag="continuous")
+    rows = [_window_drive(continuous, dt, n_fine, powers, gauss, _UnitNormals(i)) for i in range(4)]
+    step = np.eye(4) - model.a0 * dt
+    lead = n_fine % m
+    # the last window is full; the first is partial when m does not divide n_fine
+    cases = [(np.array([r[-1] for r in rows]), m)]
+    if lead:
+        cases.append((np.array([r[0] for r in rows]), lead))
+    for factor, steps in cases:
+        cov = _window_cov(step, sigma, dt, steps)
+        assert np.linalg.norm(factor.T @ factor - cov) <= 1e-12 * np.linalg.norm(cov)
+
+
+@pytest.mark.parametrize("regime", REGIMES_D4[:2], ids=_regime_id)
+def test_window_law_monte_carlo(regime):
+    """x_1 from simulate_path and from fine-step Euler agree in mean and
+    covariance; the burn-in is one partial window of 2 steps out of 4."""
+    model = generate_drift(d=4, r=1, s=3, seed=5)
+    cfg = PathConfig(delta_n=0.4, n_obs=1, substeps=4, burn_in_time=0.2, seed=0)
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    reps = 3000
+    fast = np.array([simulate_path(model, regime, replace(cfg, seed=k), x0=x0).states[1]
+                     for k in range(reps)])
+    ref = np.array([_stepwise_euler(model, regime, replace(cfg, seed=reps + k), x0=x0,
+                                    fine_normals=True)[1] for k in range(reps)])
+    for sample in (fast, ref):
+        assert np.abs(sample - sample.mean(axis=0)).max() > 0.1  # not degenerate
+
+    def mean_and_se(values):
+        return values.mean(axis=0), values.std(axis=0) / np.sqrt(len(values))
+
+    for stat in (lambda x: x, lambda x: np.einsum("ki,kj->kij", x - x.mean(0), x - x.mean(0))):
+        (mu_a, se_a), (mu_b, se_b) = mean_and_se(stat(fast)), mean_and_se(stat(ref))
+        assert np.all(np.abs(mu_a - mu_b) <= 5.0 * np.hypot(se_a, se_b))
 
 
 def test_blowup_mid_block_reports_stepwise_first_crossing():
