@@ -70,17 +70,19 @@ def localization_from_observations(
     radius_mult: float = 3.0,
     eta_mult: float = 4.0,
     eta_scale: float = 1.0,
-    radius_b: Optional[float] = None,
-    eta: Optional[float] = None,
 ) -> LocalizationConfig:
     """Data-driven localization: radius_mult x the RMS state norm and
     eta_mult x the mean increment norm (times a regime-specific eta_scale).
-    Explicit values override the rules."""
-    if radius_b is None:
-        radius_b = radius_mult * float(np.sqrt(np.vdot(obs.states, obs.states) / len(obs.states)))
-    if eta is None:
-        inc = obs.increments
-        eta = eta_mult * float(np.mean(np.sqrt(np.einsum("ij,ij->i", inc, inc)))) * eta_scale
+
+    Raises DegenerateLocalizationError when either level is not positive,
+    as on a path that never moves."""
+    radius_b = radius_mult * float(np.sqrt(np.vdot(obs.states, obs.states) / len(obs.states)))
+    inc = obs.increments
+    eta = eta_mult * float(np.mean(np.sqrt(np.einsum("ij,ij->i", inc, inc)))) * eta_scale
+    if not (radius_b > 0 and eta > 0):
+        raise DegenerateLocalizationError(
+            f"data-driven localization is degenerate: radius_b={radius_b:g}, eta={eta:g}"
+        )
     return LocalizationConfig(radius_b=radius_b, eta=eta)
 
 

@@ -125,13 +125,10 @@ RESULT_COLUMNS = [
 
 @dataclass(frozen=True)
 class LocalizationRule:
-    """Multipliers for the data-driven ball radius and truncation level;
-    explicit values override the multipliers."""
+    """Multipliers for the data-driven ball radius and truncation level."""
 
     radius_mult: float = 3.0
     eta_mult: float = 4.0
-    radius_b: Optional[float] = None
-    eta: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,6 @@ class ExperimentConfig:
     calibration_quantile: float = 0.975
     calibration_reps: int = 30
     calibration_safety: float = 1.25  # headroom over the pilot quantile
-    risk_calibration: bool = True    # rescale solver penalties to pilot risk
     risk_multipliers: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
     def __post_init__(self):
@@ -289,8 +285,6 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
         radius_mult=cfg.localization.radius_mult,
         eta_mult=cfg.localization.eta_mult,
         eta_scale=_eta_scale(cfg.regime, cfg.delta_n),
-        radius_b=cfg.localization.radius_b,
-        eta=cfg.localization.eta,
     )
     return model, obs, loc, build_context(obs, loc)
 
@@ -342,9 +336,9 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     Stage 1 sets c_op (c_one) so the half-penalty threshold sits at the
     calibration quantile of the operator (entrywise max) norm of the contrast
     gradient at the true drift, times a safety factor absorbing the quantile
-    estimate's own sampling noise.  Stage 2 (when cfg.risk_calibration)
-    rescales both constants by the multiplier minimizing the mean pilot
-    squared error.
+    estimate's own sampling noise.  Stage 2 rescales both constants by the
+    multiplier of cfg.risk_multipliers minimizing the mean pilot squared
+    error (the earlier multiplier wins a tie).
 
     The multipliers, in their configured order (largest first by default),
     form a continuation path: each pilot's solve at a multiplier starts from
@@ -394,34 +388,33 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     )
 
     best_mult = 1.0
+    best_risk = math.inf
     risk_curve = []
-    if cfg.risk_calibration:
-        best_risk = math.inf
-        starts = [cfg.solver] * len(pilots)  # per pilot: solver config with its warm start
-        for mult in cfg.risk_multipliers:
-            tun = replace(cert, c_op=cert.c_op * mult, c_one=cert.c_one * mult)
-            lambdas = tune_lambdas(cfg.d, t, tun)
-            risk = 0.0
-            iterations = 0
-            for k, (model, ctx) in enumerate(pilots):
-                try:
-                    result = solve(ctx, lambdas, starts[k])
-                except DivergenceError as exc:
-                    logger.warning("calibration multiplier %g scored inf: %s", mult, exc)
-                    risk = math.inf
-                    break
-                starts[k] = replace(cfg.solver, l_init=result.l_hat, s_init=result.s_hat)
-                iterations += result.iterations
-                diff = result.a_hat - model.a0
-                risk += float(np.sum(diff * diff))
-            risk_curve.append({
-                "multiplier": float(mult),
-                "risk": None if math.isinf(risk) else risk / len(pilots),
-                "iterations": iterations,
-            })
-            if risk < best_risk:
-                best_risk = risk
-                best_mult = float(mult)
+    starts = [cfg.solver] * len(pilots)  # per pilot: solver config with its warm start
+    for mult in cfg.risk_multipliers:
+        tun = replace(cert, c_op=cert.c_op * mult, c_one=cert.c_one * mult)
+        lambdas = tune_lambdas(cfg.d, t, tun)
+        risk = 0.0
+        iterations = 0
+        for k, (model, ctx) in enumerate(pilots):
+            try:
+                result = solve(ctx, lambdas, starts[k])
+            except DivergenceError as exc:
+                logger.warning("calibration multiplier %g scored inf: %s", mult, exc)
+                risk = math.inf
+                break
+            starts[k] = replace(cfg.solver, l_init=result.l_hat, s_init=result.s_hat)
+            iterations += result.iterations
+            diff = result.a_hat - model.a0
+            risk += float(np.sum(diff * diff))
+        risk_curve.append({
+            "multiplier": float(mult),
+            "risk": None if math.isinf(risk) else risk / len(pilots),
+            "iterations": iterations,
+        })
+        if risk < best_risk:
+            best_risk = risk
+            best_mult = float(mult)
     solver_tuning = replace(
         cert, c_op=cert.c_op * best_mult, c_one=cert.c_one * best_mult
     )
@@ -497,8 +490,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
 
 
 def _row_job(args):
-    cfg, calib, t, rep = args
-    return (t, rep), run_single(cfg, calib, t, rep)
+    return run_single(*args)
 
 
 def run_experiment(
@@ -527,13 +519,11 @@ def run_experiment(
         calib = _uncalibrated(cfg)
 
     jobs = [(cfg, calib, t, rep) for t in cfg.t_sweep for rep in range(cfg.replicates)]
-    if parallel > 1:
+    if parallel > 1:  # both maps yield the rows in job order
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = dict(pool.map(_row_job, jobs))
+            rows = list(pool.map(_row_job, jobs))
     else:
-        results = dict(_row_job(job) for job in jobs)
-
-    rows = [results[(t, rep)] for t in cfg.t_sweep for rep in range(cfg.replicates)]
+        rows = [_row_job(job) for job in jobs]
     results_path = target / f"{cfg.name}_results.csv"
     with open(results_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
@@ -572,7 +562,8 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
 
     Writes `<stem>_summary.csv` and `<stem>_plotdata.csv` (x, y, y_err with
     x the first group key, y the mean squared error) next to the results.
-    Malformed rows are skipped and counted.  When grouping by `t_horizon`
+    Malformed rows are skipped and counted; a group key that is not a
+    column raises ValueError naming it.  When grouping by `t_horizon`
     with at least 3 horizons, a log-log rate fit and the risk-bound-shape
     regression (read from the manifest) are included.
     """
@@ -583,7 +574,12 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
     rows = []
     skipped = 0
     with open(results_path, "r", newline="", encoding="utf-8") as fh:
-        for raw in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [k for k in group_keys if k not in (reader.fieldnames or ())]
+        if missing:
+            names = ", ".join(map(repr, missing))
+            raise ValueError(f"group key(s) {names} not among the columns of {results_path}")
+        for raw in reader:
             try:
                 if raw.get("failed") not in ("0", 0, "", None):
                     rows.append({"__failed__": True, **raw})
@@ -755,7 +751,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """The config of a JSON document written by `config_to_dict`.
 
     Raises ValueError naming the key path of an unknown key at any level or
-    of a missing required field; missing optional keys (for example the
-    solver warm starts in older manifests) take their defaults.
+    of a missing required field (a retired key is an unknown key); missing
+    optional keys (for example the solver warm starts in older manifests)
+    take their defaults.
     """
     return _from_json(ExperimentConfig, doc)

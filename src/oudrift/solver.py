@@ -78,9 +78,6 @@ class TuningConfig:
 class SolverConfig:
     max_iters: int = 5000
     tol: float = 1e-8               # relative objective decrease
-    step_init: Optional[float] = None  # None: 1 / (2 delta_n^2 max-eig(c_n))
-    backtracking_factor: float = 0.5
-    acceleration: bool = True
     l_init: Optional[np.ndarray] = None
     s_init: Optional[np.ndarray] = None
 
@@ -89,10 +86,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.step_init is not None and self.step_init <= 0:
-            raise ValueError("step_init must be positive")
-        if not (0.0 < self.backtracking_factor < 1.0):
-            raise ValueError("backtracking_factor must be in (0, 1)")
 
 
 @dataclass
@@ -103,8 +96,6 @@ class EstimateResult:
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    lambda_star_used: float
-    lambda_one_used: float
 
 
 def gamma_factor(regime: LevyRegime, delta_n: float) -> float:
@@ -164,6 +155,33 @@ def _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one):
     return l_new, s_new, float(np.sum(spectrum))
 
 
+def _backtracked_step(ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, iteration):
+    """A prox-gradient step from (l_pt, s_pt), given their sum's product
+    ac_pt with c_n and smooth loss loss_pt; tau halves until the new pair's
+    loss lies under the quadratic upper bound.  Returns the new pair, its
+    product, smooth loss and objective, and the accepted tau."""
+    g = _gradient_given_product(ctx, ac_pt)
+    while True:
+        l_new, s_new, nuc_new = _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
+        dl = l_new - l_pt
+        ds = s_new - s_pt
+        a_new = l_new + s_new
+        ac_new = a_new @ ctx.c_n
+        loss_new = _loss_given_product(ctx, a_new, ac_new)
+        if not np.isfinite(loss_new):
+            raise DivergenceError(f"objective non-finite at iteration {iteration}")
+        bound = (
+            loss_pt
+            + float(np.sum(g * dl)) + float(np.sum(g * ds))
+            + (float(np.sum(dl * dl)) + float(np.sum(ds * ds))) / (2.0 * tau)
+        )
+        if loss_new <= bound + 1e-14 * max(1.0, abs(bound)):
+            break
+        tau *= 0.5
+    f_new = loss_new + lam_star * nuc_new + lam_one * float(np.sum(np.abs(s_new)))
+    return l_new, s_new, ac_new, loss_new, f_new, tau
+
+
 def solve(
     ctx: ContrastContext,
     lambdas: tuple,
@@ -171,11 +189,15 @@ def solve(
 ) -> EstimateResult:
     """Minimize the penalized contrast over the pair (L, S).
 
-    Proximal gradient with backtracking line search against the quadratic
-    upper bound; optional momentum with objective-increase restart.  Stops
-    when the relative objective decrease falls below cfg.tol, except that a
+    Accelerated proximal gradient (FISTA) with a backtracking line search
+    from tau = 1 / (2 delta_n^2 max-eig(c_n)), twice the inverse Lipschitz
+    constant of the pair problem.  A step from the extrapolated point that
+    raises the objective restarts the momentum and is retaken from the
+    current iterate, so the objective trace is non-increasing.  Stops when
+    the relative objective decrease falls below cfg.tol, except that a
     momentum step which does not decrease the objective restarts the
-    momentum instead: only a plain prox step may stop on a tie.
+    momentum instead: only a step from the current iterate may stop on a
+    tie.
 
     The iteration starts from (cfg.l_init, cfg.s_init), zeros where unset;
     each must be a finite (d, d) matrix (ValueError naming the field
@@ -185,8 +207,8 @@ def solve(
     the objective is non-finite at the start or at a trial point.
 
     The loss is exactly quadratic, so each evaluated point costs one
-    product a @ c_n, shared by the loss and the gradient there; a plain
-    step reuses the product of the point the previous step accepted.
+    product a @ c_n, shared by the loss and the gradient there; a step from
+    the current iterate reuses the product the previous step computed.
     """
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     if lam_star < 0 or lam_one < 0:
@@ -198,13 +220,10 @@ def solve(
     l_cur = _start(cfg.l_init, "l_init", d)
     s_cur = _start(cfg.s_init, "s_init", d)
 
-    if cfg.step_init is not None:
-        tau = cfg.step_init
-    else:
-        lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(c_n)[-1])
-        tau = 1.0 / lip if lip > 0 else 1.0
+    lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(c_n)[-1])
+    tau = 1.0 / lip if lip > 0 else 1.0
 
-    # the smooth part at the current iterate: sum, its product with c_n, loss
+    # the smooth part at the current iterate: its product with c_n and loss
     a_cur = l_cur + s_cur
     ac_cur = a_cur @ c_n
     loss_cur = _loss_given_product(ctx, a_cur, ac_cur)
@@ -220,53 +239,27 @@ def solve(
 
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        if cfg.acceleration and t_mom > 1.0:
+        momentum_step = t_mom > 1.0
+        if momentum_step:
             beta = (t_mom_prev - 1.0) / t_mom
             l_pt = l_cur + beta * (l_cur - l_prev)
             s_pt = s_cur + beta * (s_cur - s_prev)
-        else:
-            l_pt, s_pt = l_cur, s_cur
+            a_pt = l_pt + s_pt
+            ac_pt = a_pt @ c_n
+            loss_pt = _loss_given_product(ctx, a_pt, ac_pt)
+            l_new, s_new, ac_new, loss_new, f_new, tau = _backtracked_step(
+                ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, it
+            )
+            if f_new > f_cur:  # momentum overshot: restart from the current iterate
+                momentum_step = False
+                t_mom = 1.0
+        if not momentum_step:
+            l_new, s_new, ac_new, loss_new, f_new, tau = _backtracked_step(
+                ctx, lam_star, lam_one, l_cur, s_cur, ac_cur, loss_cur, tau, it
+            )
 
-        accepted = False
-        for _restart in range(2):
-            if l_pt is l_cur and s_pt is s_cur:
-                ac_pt, f_pt = ac_cur, loss_cur
-            else:
-                a_pt = l_pt + s_pt
-                ac_pt = a_pt @ c_n
-                f_pt = _loss_given_product(ctx, a_pt, ac_pt)
-            g = _gradient_given_product(ctx, ac_pt)
-            while True:
-                l_new, s_new, nuc_new = _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
-                dl = l_new - l_pt
-                ds = s_new - s_pt
-                a_new = l_new + s_new
-                ac_new = a_new @ c_n
-                f_smooth = _loss_given_product(ctx, a_new, ac_new)
-                if not np.isfinite(f_smooth):
-                    raise DivergenceError(f"objective non-finite at iteration {it}")
-                bound = (
-                    f_pt
-                    + float(np.sum(g * dl)) + float(np.sum(g * ds))
-                    + (float(np.sum(dl * dl)) + float(np.sum(ds * ds))) / (2.0 * tau)
-                )
-                if f_smooth <= bound + 1e-14 * max(1.0, abs(bound)):
-                    break
-                tau *= cfg.backtracking_factor
-            f_new = f_smooth + lam_star * nuc_new + lam_one * float(np.sum(np.abs(s_new)))
-            if f_new <= f_cur or not cfg.acceleration or (l_pt is l_cur and s_pt is s_cur):
-                accepted = True
-                break
-            # momentum overshot: restart from the current iterate
-            t_mom = 1.0
-            l_pt, s_pt = l_cur, s_cur
-        if not accepted:  # pragma: no cover - loop above always breaks
-            raise RuntimeError("line search failed to accept a step")
-
-        momentum_step = l_pt is not l_cur or s_pt is not s_cur
         l_prev, s_prev = l_cur, s_cur
-        l_cur, s_cur = l_new, s_new
-        a_cur, ac_cur, loss_cur = a_new, ac_new, f_smooth
+        l_cur, s_cur, ac_cur, loss_cur = l_new, s_new, ac_new, loss_new
         rel_decrease = (f_cur - f_new) / max(1.0, abs(f_cur))
         f_cur = min(f_new, f_cur)
         trace.append(f_cur)
@@ -287,12 +280,10 @@ def solve(
     return EstimateResult(
         l_hat=l_cur,
         s_hat=s_cur,
-        a_hat=a_cur,
+        a_hat=l_cur + s_cur,
         objective_trace=np.array(trace),
         iterations=iterations,
         converged=converged,
-        lambda_star_used=lam_star,
-        lambda_one_used=lam_one,
     )
 
 

@@ -40,8 +40,6 @@ def as_result(l_hat, s_hat):
         objective_trace=np.array([0.0]),
         iterations=0,
         converged=True,
-        lambda_star_used=0.0,
-        lambda_one_used=0.0,
     )
 
 

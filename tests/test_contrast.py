@@ -50,6 +50,19 @@ def test_build_context_total_truncation_errors():
         build_context(obs, LocalizationConfig(radius_b=1e9, eta=1e-15))
 
 
+@pytest.mark.parametrize(
+    "states, level",
+    [
+        (np.zeros((5, 2)), "radius_b=0, eta=0"),   # a path at the origin
+        (np.ones((5, 2)), "radius_b=4.24264, eta=0"),  # a path that never moves
+    ],
+)
+def test_localization_of_a_still_path_is_degenerate(states, level):
+    obs = ObservationSet(states, delta_n=0.1)
+    with pytest.raises(DegenerateLocalizationError, match=level):
+        localization_from_observations(obs)
+
+
 def test_build_context_hand_dataset():
     obs = ObservationSet(np.array([[1.0], [3.0]]), delta_n=1.0)
     ctx = build_context(obs, LocalizationConfig(radius_b=2.0, eta=10.0))

@@ -64,13 +64,13 @@ def test_preset_contents():
 def test_config_json_round_trip_identity():
     base = regime_preset("bounded")
     d = base.d
-    # no sigma, explicit lambdas and localization, a step and both warm starts
+    # no sigma, explicit lambdas, other localization multipliers and both warm starts
     explicit = replace(
         base,
         regime=replace(base.regime, sigma=None),
-        localization=replace(base.localization, radius_b=11.0, eta=2.5),
+        localization=replace(base.localization, radius_mult=11.0, eta_mult=2.5),
         tuning=replace(base.tuning, explicit_lambdas=(0.2, 0.05)),
-        solver=replace(base.solver, step_init=0.01, l_init=np.eye(d) / 7.0, s_init=np.ones((d, d))),
+        solver=replace(base.solver, l_init=np.eye(d) / 7.0, s_init=np.ones((d, d))),
     )
     names = ("continuous", "bounded", "subweibull", "polymoment")
     for cfg in [regime_preset(name) for name in names] + [explicit]:
@@ -91,10 +91,11 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc.update(calibrate="false"), "config key 'calibrate': expected true or false"),
         (lambda doc: doc.update(replicates=2.9), "config key 'replicates': expected an integer"),
         (lambda doc: doc.update(calibration_quantile=1.5), "calibration_quantile must lie between 0 and 1"),
+        (lambda doc: doc["solver"].update(acceleration=True), "unknown config key 'solver.acceleration'"),
     ],
     ids=[
         "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
-        "bool-string", "int-fraction", "quantile-range",
+        "bool-string", "int-fraction", "quantile-range", "retired",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
@@ -181,6 +182,26 @@ def test_run_experiment_flags_blowups_and_continues(tmp_path):
     assert len(rows) == cfg.replicates
     assert all(r["failed"] == "1" for r in rows)
     assert all("Blowup" in r["error"] for r in rows)
+
+
+@pytest.mark.parametrize("calibrate", [False, True])
+def test_run_experiment_flags_a_path_that_never_moves(tmp_path, calibrate):
+    # no Brownian part and almost no jumps: the path sits at zero, so the
+    # data-driven radius and truncation level are zero
+    cfg = tiny_config(
+        tmp_path, regime=LevyRegime(tag="bounded", sigma=None, jump_rate=0.001),
+        t_sweep=(5.0,), calibrate=calibrate, calibration_reps=2,
+    )
+    path = run_experiment(cfg)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cfg.replicates
+    assert all(r["failed"] == "1" for r in rows)
+    assert all(r["error"].startswith("DegenerateLocalizationError") for r in rows)
+    manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+    failed = manifest["calibration_failed_pilots"]
+    assert len(failed) == (cfg.calibration_reps if calibrate else 0)
+    assert all(f["error"].startswith("DegenerateLocalizationError") for f in failed)
 
 
 def _raise_on_first_call(monkeypatch, name, exc):
@@ -494,6 +515,11 @@ def test_cli_preset_run_summarize(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["groups"]) == 2
+
+    # a misspelt group key is named, not a traceback
+    rc = cli.main(["summarize", "--results", results, "--group-by", "t_horizn,replicate"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: group key(s) 't_horizn' not among the columns")
 
     assert cli.main(["preset", "--name", "nope"]) == 2
 

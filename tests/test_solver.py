@@ -61,11 +61,8 @@ def _reference_solve(ctx, lambdas, cfg):
     d, dn = ctx.d, ctx.delta_n
     l_cur = np.zeros((d, d)) if cfg.l_init is None else np.array(cfg.l_init, dtype=float)
     s_cur = np.zeros((d, d)) if cfg.s_init is None else np.array(cfg.s_init, dtype=float)
-    if cfg.step_init is not None:
-        tau = cfg.step_init
-    else:
-        lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(ctx.c_n)[-1])
-        tau = 1.0 / lip if lip > 0 else 1.0
+    lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(ctx.c_n)[-1])
+    tau = 1.0 / lip if lip > 0 else 1.0
     f_cur = loss(ctx, l_cur + s_cur) + lam_star * nuclear_norm(l_cur) + lam_one * l1_norm(s_cur)
     trace = [f_cur]
     l_prev, s_prev = l_cur, s_cur
@@ -74,7 +71,7 @@ def _reference_solve(ctx, lambdas, cfg):
     iterations = backtracks = 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        if cfg.acceleration and t_mom > 1.0:
+        if t_mom > 1.0:
             beta = (t_mom_prev - 1.0) / t_mom
             l_pt = l_cur + beta * (l_cur - l_prev)
             s_pt = s_cur + beta * (s_cur - s_prev)
@@ -96,10 +93,10 @@ def _reference_solve(ctx, lambdas, cfg):
                 )
                 if f_smooth <= bound + 1e-14 * max(1.0, abs(bound)):
                     break
-                tau *= cfg.backtracking_factor
+                tau *= 0.5
                 backtracks += 1
             f_new = f_smooth + lam_star * nuc_new + lam_one * l1_norm(s_new)
-            if f_new <= f_cur or not cfg.acceleration or (l_pt is l_cur and s_pt is s_cur):
+            if f_new <= f_cur or (l_pt is l_cur and s_pt is s_cur):
                 break
             t_mom = 1.0
             l_pt, s_pt = l_cur, s_cur
@@ -120,42 +117,39 @@ def _reference_solve(ctx, lambdas, cfg):
     result = solver.EstimateResult(
         l_hat=l_cur, s_hat=s_cur, a_hat=l_cur + s_cur, objective_trace=np.array(trace),
         iterations=iterations, converged=converged,
-        lambda_star_used=lam_star, lambda_one_used=lam_one,
     )
     return result, backtracks
 
 
-@pytest.mark.parametrize("acceleration", [True, False])
 @pytest.mark.parametrize("start", ["cold", "warm"])
-@pytest.mark.parametrize("step_scale", [None, 100.0])
-def test_solve_matches_reference_loop(acceleration, start, step_scale):
-    # criterion-5-style contexts; a step 100x the inverse Lipschitz constant
-    # forces the line search to backtrack
+def test_solve_matches_reference_loop(start):
+    # criterion-5-style contexts at the default step, which is twice the
+    # inverse Lipschitz constant, so the line search backtracks on some
     rng = np.random.default_rng(5)
+    backtracks = 0
     for k in range(4):
         d = int(rng.integers(4, 16))
         _, ctx = make_ctx(d=d, n=600, seed=100 + k)
         lam = tune_lambdas(d, ctx.n * ctx.delta_n, TuningConfig(c_op=0.02, c_one=0.005))
-        lip = 2.0 * ctx.delta_n**2 * float(np.linalg.eigvalsh(ctx.c_n)[-1])
-        step_init = None if step_scale is None else step_scale / lip
-        cfg = SolverConfig(acceleration=acceleration, step_init=step_init, max_iters=400)
+        cfg = SolverConfig(max_iters=400)
         if start == "warm":
             prev = solve(ctx, (2.0 * lam[0], 2.0 * lam[1]), cfg)
             cfg = replace(cfg, l_init=prev.l_hat, s_init=prev.s_hat)
         got = solve(ctx, lam, cfg)
-        want, backtracks = _reference_solve(ctx, lam, cfg)
+        want, shrinks = _reference_solve(ctx, lam, cfg)
+        backtracks += shrinks
         np.testing.assert_array_equal(got.l_hat, want.l_hat)
         np.testing.assert_array_equal(got.s_hat, want.s_hat)
         np.testing.assert_array_equal(got.a_hat, want.a_hat)
         np.testing.assert_array_equal(got.objective_trace, want.objective_trace)
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert step_scale is None or backtracks > 0
 
         final = (
             loss(ctx, got.l_hat + got.s_hat)
             + lam[0] * nuclear_norm(got.l_hat) + lam[1] * l1_norm(got.s_hat)
         )
         assert got.objective_trace[-1] == pytest.approx(final, rel=1e-12, abs=0.0)
+    assert backtracks > 0
 
 
 def test_tune_lambdas_formula():
@@ -232,24 +226,18 @@ def test_momentum_tie_does_not_stop_the_solve():
 
 
 def test_objective_trace_monotone_both_modes():
+    # a cold start, and a warm start from the solution at twice the penalties
     _, ctx = make_ctx(seed=3)
     lam = tune_lambdas(ctx.d, ctx.n * ctx.delta_n, TuningConfig(c_op=0.01, c_one=0.003))
-    for accel in (False, True):
-        res = solve(ctx, lam, SolverConfig(acceleration=accel, max_iters=300))
+    cold = solve(ctx, lam, SolverConfig(max_iters=300))
+    prev = solve(ctx, (2.0 * lam[0], 2.0 * lam[1]), SolverConfig(max_iters=300))
+    warm = solve(ctx, lam, SolverConfig(max_iters=300, l_init=prev.l_hat, s_init=prev.s_hat))
+    for res in (cold, warm):
+        assert len(res.objective_trace) > 2
         diffs = np.diff(res.objective_trace)
-        assert np.all(diffs <= 1e-12), f"acceleration={accel}"
+        assert np.all(diffs <= 1e-12)
         assert res.a_hat is not res.l_hat
         np.testing.assert_allclose(res.a_hat, res.l_hat + res.s_hat)
-
-
-def test_accelerated_and_plain_reach_same_objective():
-    _, ctx = make_ctx(seed=4)
-    lam = tune_lambdas(ctx.d, ctx.n * ctx.delta_n, TuningConfig(c_op=0.01, c_one=0.003))
-    res_a = solve(ctx, lam, SolverConfig(acceleration=True, tol=1e-12, max_iters=20000))
-    res_p = solve(ctx, lam, SolverConfig(acceleration=False, tol=1e-12, max_iters=20000))
-    fa = res_a.objective_trace[-1]
-    fp = res_p.objective_trace[-1]
-    assert abs(fa - fp) <= 1e-6 * max(1.0, abs(fa))
 
 
 def test_max_iters_reached_is_not_an_error():
