@@ -165,12 +165,13 @@ class ExperimentConfig:
         object.__setattr__(
             self, "risk_multipliers", tuple(float(v) for v in self.risk_multipliers)
         )
-        if not self.t_sweep or any(t <= 0 for t in self.t_sweep):
-            raise ValueError("t_sweep must be nonempty with positive horizons")
+        # `0 < x < inf` also rejects NaN, which passes every `<= 0` check
+        if not self.t_sweep or not all(0 < t < math.inf for t in self.t_sweep):
+            raise ValueError("t_sweep must be nonempty with finite positive horizons")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.delta_n <= 0:
-            raise ValueError("delta_n must be positive")
+        if not 0 < self.delta_n < math.inf:
+            raise ValueError("delta_n must be finite and positive")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         sigma = self.regime.sigma
@@ -183,10 +184,10 @@ class ExperimentConfig:
             )
         if self.calibration_reps < 1:
             raise ValueError("calibration_reps must be >= 1")
-        if self.calibration_safety <= 0:
-            raise ValueError("calibration_safety must be positive")
-        if not self.risk_multipliers or min(self.risk_multipliers) <= 0:
-            raise ValueError("risk_multipliers must be nonempty and positive")
+        if not 0 < self.calibration_safety < math.inf:
+            raise ValueError("calibration_safety must be positive and finite")
+        if not self.risk_multipliers or not all(0 < v < math.inf for v in self.risk_multipliers):
+            raise ValueError("risk_multipliers must be nonempty and positive (and finite)")
 
 
 def _eta_scale(regime: LevyRegime, delta_n: float) -> float:

@@ -63,14 +63,15 @@ class TuningConfig:
     explicit_lambdas: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.c_op <= 0 or self.c_one <= 0:
-            raise ValueError("c_op and c_one must be positive")
-        if self.gamma_value <= 0:
-            raise ValueError("gamma_value must be positive")
+        # `0 < x < inf` also rejects NaN, which passes every `<= 0` check
+        if not (0 < self.c_op < math.inf and 0 < self.c_one < math.inf):
+            raise ValueError("c_op and c_one must be finite and positive")
+        if not 0 < self.gamma_value < math.inf:
+            raise ValueError("gamma_value must be finite and positive")
         if self.explicit_lambdas is not None:
             ls, l1 = self.explicit_lambdas
-            if ls <= 0 or l1 <= 0:
-                raise ValueError("explicit lambdas must be positive")
+            if not (0 < ls < math.inf and 0 < l1 < math.inf):
+                raise ValueError("explicit lambdas must be finite and positive")
             object.__setattr__(self, "explicit_lambdas", (float(ls), float(l1)))
 
 
@@ -84,8 +85,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -92,10 +93,12 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc.update(replicates=2.9), "config key 'replicates': expected an integer"),
         (lambda doc: doc.update(calibration_quantile=1.5), "calibration_quantile must lie between 0 and 1"),
         (lambda doc: doc["solver"].update(acceleration=True), "unknown config key 'solver.acceleration'"),
+        # JSON writes and reads NaN, which a `<= 0` check lets through
+        (lambda doc: doc["solver"].update(tol=float("nan")), "tol must be finite and positive"),
     ],
     ids=[
         "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
-        "bool-string", "int-fraction", "quantile-range", "retired",
+        "bool-string", "int-fraction", "quantile-range", "retired", "tol-nan",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
@@ -542,6 +545,11 @@ def test_experiment_config_validation(tmp_path):
         ({"risk_multipliers": ()}, "risk_multipliers must be nonempty and positive"),
         ({"risk_multipliers": (1.0, -0.5)}, "risk_multipliers must be nonempty and positive"),
         ({"risk_multipliers": (1.0, 0.0)}, "risk_multipliers must be nonempty and positive"),
+        # NaN compares false, so a `<= 0` check lets it through
+        ({"calibration_safety": math.nan}, "calibration_safety must be positive"),
+        ({"risk_multipliers": (1.0, math.nan)}, "risk_multipliers must be nonempty and positive"),
+        ({"delta_n": math.nan}, "delta_n must be finite and positive"),
+        ({"t_sweep": (20.0, math.inf)}, "t_sweep must be nonempty with finite positive horizons"),
     ]
     for overrides, message in bad:
         with pytest.raises(ValueError, match=message):

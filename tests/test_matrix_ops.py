@@ -195,6 +195,74 @@ def test_singular_value_threshold_spectrum_is_nuclear_norm():
     assert float(np.sum(spectrum)) == pytest.approx(nuclear_norm(x), rel=1e-12)
 
 
+def svd_threshold(m, lam):
+    """Singular value thresholding through a full SVD: the oracle."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    s = np.maximum(s - lam, 0.0)
+    return (u * s) @ vt, s
+
+
+def stress_matrix(d, kind, rng):
+    """A (d, d) matrix with a rank-deficient, clustered or widely spread spectrum."""
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if kind == "rank-deficient":
+        sigma = np.where(np.arange(d) < max(1, d // 3), rng.uniform(0.5, 2.0, d), 0.0)
+    elif kind == "clustered":  # a few levels, each repeated to ~1e-9 relative
+        sigma = rng.choice(rng.uniform(0.1, 2.0, 3), d) * (1.0 + 1e-9 * rng.standard_normal(d))
+    else:  # condition numbers up to 1e8
+        sigma = 10.0 ** rng.uniform(-8.0, 0.0, d)
+    return (u * sigma) @ v.T
+
+
+@pytest.mark.parametrize("d", [2, 5, 20, 60])
+@pytest.mark.parametrize("kind", ["rank-deficient", "clustered", "spread"])
+def test_singular_value_threshold_matches_svd_oracle(d, kind):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(20):
+        m = stress_matrix(d, kind, rng)
+        sigma_max = operator_norm(m)
+        lam = sigma_max * 10.0 ** rng.uniform(-4.0, 0.0)
+        x, spectrum = singular_value_threshold(m, lam, return_spectrum=True)
+        want, want_spectrum = svd_threshold(m, lam)
+        assert np.max(np.abs(x - want)) <= 1e-9 * sigma_max
+        assert np.max(np.abs(spectrum - want_spectrum)) <= 1e-9 * sigma_max
+        assert numerical_rank(x) == numerical_rank(want)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (3, 7), (7, 3), (20, 60), (60, 20)])
+def test_singular_value_threshold_non_square(shape):
+    m = np.random.default_rng(11).standard_normal(shape)
+    lam = 0.3 * operator_norm(m)
+    x, spectrum = singular_value_threshold(m, lam, return_spectrum=True)
+    want, want_spectrum = svd_threshold(m, lam)
+    assert x.shape == shape
+    assert spectrum.shape == (min(shape),)
+    assert np.all(np.diff(spectrum) <= 0.0)
+    np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12 * operator_norm(m))
+    np.testing.assert_allclose(spectrum, want_spectrum, rtol=0.0, atol=1e-12 * operator_norm(m))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (60, 60), (4, 9), (9, 4)])
+def test_singular_value_threshold_zero_level_and_zero_matrix(shape):
+    m = np.random.default_rng(12).standard_normal(shape)
+    x, spectrum = singular_value_threshold(m, 0.0, return_spectrum=True)
+    np.testing.assert_allclose(x, m, rtol=0.0, atol=1e-12 * operator_norm(m))
+    np.testing.assert_allclose(spectrum, np.linalg.svd(m, compute_uv=False), rtol=1e-12)
+    for lam in (0.0, 1.0):
+        x, spectrum = singular_value_threshold(np.zeros(shape), lam, return_spectrum=True)
+        np.testing.assert_array_equal(x, np.zeros(shape))
+        np.testing.assert_array_equal(spectrum, np.zeros(min(shape)))
+
+
+@pytest.mark.parametrize("prox", [soft_threshold, singular_value_threshold])
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_prox_rejects_nonfinite_level(prox, lam):
+    # unchecked, a NaN level would give all-NaN and an infinite one all zeros
+    with pytest.raises(ValueError, match="finite"):
+        prox(np.eye(3), lam)
+
+
 def test_nuclear_decomposability_inequality():
     rng = np.random.default_rng(8)
     for _ in range(20):

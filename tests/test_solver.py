@@ -32,10 +32,10 @@ def make_ctx(d=5, n=500, seed=0, delta_n=0.1):
     return model, build_context(obs, localization_from_observations(obs))
 
 
-def test_solve_runs_one_svd_per_prox_step(monkeypatch):
+def test_solve_runs_one_eigh_per_prox_step(monkeypatch):
     _, ctx = make_ctx()
-    calls = {"svd": 0, "prox": 0}
-    real_svd, real_prox = np.linalg.svd, solver._prox_step
+    calls = {"svd": 0, "eigh": 0, "prox": 0}
+    real_svd, real_eigh, real_prox = np.linalg.svd, np.linalg.eigh, solver._prox_step
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -45,11 +45,14 @@ def test_solve_runs_one_svd_per_prox_step(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.linalg, "svd", counting("svd", real_svd))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", real_eigh))
     monkeypatch.setattr(solver, "_prox_step", counting("prox", real_prox))
     result = solve(ctx, (0.005, 0.002), SolverConfig(max_iters=50))
     assert calls["prox"] >= result.iterations > 1
-    # one SVD for the initial objective, then one per prox step
-    assert calls["svd"] == 1 + calls["prox"]
+    # each prox step thresholds through one Gram eigendecomposition; the
+    # only SVD is the nuclear norm of the initial objective
+    assert calls["eigh"] == calls["prox"]
+    assert calls["svd"] == 1
 
 
 def _reference_solve(ctx, lambdas, cfg):
@@ -267,6 +270,26 @@ def test_moderate_lambda_error_tracks_penalty_scale():
           f"(err {err:.3e}, shape {shape:.3e})")
     assert np.isfinite(fitted_c) and fitted_c > 0
     assert err < np.linalg.norm(model.a0)  # estimate is nontrivial
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        lambda: SolverConfig(tol=math.nan),
+        lambda: SolverConfig(tol=math.inf),
+        lambda: TuningConfig(c_op=math.nan),
+        lambda: TuningConfig(c_one=math.inf),
+        lambda: TuningConfig(gamma_value=math.nan),
+        lambda: TuningConfig(explicit_lambdas=(math.nan, 1.0)),
+        lambda: TuningConfig(explicit_lambdas=(1.0, math.inf)),
+    ],
+    ids=["tol-nan", "tol-inf", "c_op-nan", "c_one-inf", "gamma-nan", "lambda-nan", "lambda-inf"],
+)
+def test_nonfinite_settings_rejected(settings):
+    # NaN compares false, so a `<= 0` check lets it through; a NaN tol would
+    # never stop a solve, and NaN penalty constants would make every row diverge
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        settings()
 
 
 def test_negative_lambdas_rejected():
