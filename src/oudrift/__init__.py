@@ -4,7 +4,6 @@ from .matrix_ops import (
     DEFAULT_TOLS,
     TangentSpaces,
     Tolerances,
-    frobenius_norm,
     l1_norm,
     linf_norm,
     nuclear_norm,
@@ -33,6 +32,7 @@ from .simulate import (
     derive_seed,
     empirical_trunc_moment,
     simulate_path,
+    total_noise_cov,
 )
 from .contrast import (
     ContrastContext,
@@ -78,7 +78,6 @@ from .experiment import (
     regime_preset,
     run_experiment,
     summarize,
-    total_noise_cov,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ The loss is exactly quadratic:  loss(a) = loss(b) + <grad(b), a-b>
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,10 +60,10 @@ class LocalizationConfig:
     eta: float
 
     def __post_init__(self):
-        if self.radius_b <= 0:
-            raise ValueError("radius_b must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.radius_b < math.inf:
+            raise ValueError("radius_b must be finite and positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and positive")
 
 
 def localization_from_observations(

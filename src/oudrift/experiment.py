@@ -50,6 +50,7 @@ from .simulate import (
     derive_seed,
     empirical_trunc_moment,
     simulate_path,
+    total_noise_cov,
 )
 from .solver import DivergenceError, SolverConfig, TuningConfig, gamma_factor, solve, tune_lambdas
 
@@ -66,7 +67,6 @@ __all__ = [
     "run_experiment",
     "run_single",
     "summarize",
-    "total_noise_cov",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -129,6 +129,12 @@ class LocalizationRule:
 
     radius_mult: float = 3.0
     eta_mult: float = 4.0
+
+    def __post_init__(self):
+        if not 0 < self.radius_mult < math.inf:
+            raise ValueError("radius_mult must be finite and positive")
+        if not 0 < self.eta_mult < math.inf:
+            raise ValueError("eta_mult must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -197,32 +203,6 @@ def _eta_scale(regime: LevyRegime, delta_n: float) -> float:
     if regime.tag == "polymoment":
         return delta_n ** (1.0 / regime.p)
     return 1.0
-
-
-def _jump_second_moment(regime: LevyRegime) -> float:
-    """E[R^2] for the jump radius law of the regime."""
-    scale = regime.jump_scale
-    if regime.tag == "bounded":
-        c = min(regime.z0 / scale, 1.0)
-        return scale**2 * (c**3 / 3.0) + regime.z0**2 * (1.0 - c)
-    if regime.tag == "subweibull":
-        return scale**2 * math.gamma(1.0 + 2.0 / regime.alpha)
-    if regime.tag == "polymoment":
-        a = regime.p + 0.5
-        return scale**2 * a / (a - 2.0)
-    return 0.0
-
-
-def total_noise_cov(regime: LevyRegime, d: int) -> np.ndarray:
-    """Instantaneous covariance of the driving noise: Brownian part plus
-    isotropic compound-Poisson part.  Determines the stationary covariance
-    through the Lyapunov balance for every square-integrable regime."""
-    cov = np.zeros((d, d))
-    if regime.sigma is not None:
-        cov += regime.sigma @ regime.sigma.T
-    if regime.tag != "continuous" and regime.jump_rate > 0:
-        cov += regime.jump_rate * _jump_second_moment(regime) / d * np.eye(d)
-    return cov
 
 
 def regime_preset(name: str) -> ExperimentConfig:

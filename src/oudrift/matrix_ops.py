@@ -16,7 +16,6 @@ __all__ = [
     "DEFAULT_TOLS",
     "TangentSpaces",
     "as_matrix",
-    "frobenius_norm",
     "nuclear_norm",
     "operator_norm",
     "l1_norm",
@@ -53,11 +52,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def frobenius_norm(m) -> float:
-    m = as_matrix(m)
-    return float(np.sqrt(np.sum(m * m)))
 
 
 def nuclear_norm(m) -> float:

@@ -18,17 +18,20 @@ steps between two observations are applied at once:
 
 The fine normals are never drawn.  The Gaussian part of u_k is exactly
 N(0, Q_m), Q_m = dt sum_{j<m} M^j sigma sigma^T (M^j)^T, so `_window_drive`
-draws it as d normals per window times a (d, d) factor R with R^T R = Q_m,
-then adds every compound-Poisson jump propagated from its own fine step.
-`_scan` then runs the recursion as a two-level blocked scan over blocks of
-about sqrt(n_obs) observations (Blelloch 1990): block sums from zero, a
-carry loop over blocks, a batched fill.
+draws it as d normals per window times one (d, d) factor R per path with
+R^T R = Q_m, then adds every compound-Poisson jump propagated from its own
+fine step.  `_scan` then runs the recursion over the burn-in and observed
+windows together as a two-level blocked scan over blocks of about sqrt(n)
+windows (Blelloch 1990): block sums from zero, a carry loop over blocks, a
+batched fill.
 
-Law contract: a path has the law of stepwise Euler iteration.  Over the
-burn-in and then over the observed steps it draws d normals per window (a
-partial leading window first), then the jumps as `_jump_draws` draws them.
-Without a Brownian part it draws no normals, and the path is the stepwise
-Euler path on `_sample_increments`' draws up to floating-point rounding.
+Law contract: a path has the law of stepwise Euler iteration.  The burn-in
+is whole observation windows: its duration in fine steps, rounded up to a
+multiple of `substeps`.  Over the burn-in windows and then over the
+observed windows it draws d normals per window, then the jumps as
+`_jump_draws` draws them.  Without a Brownian part it draws no normals, and
+the path is the stepwise Euler path on `_sample_increments`' draws up to
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "simulate_path",
     "empirical_trunc_moment",
     "derive_seed",
+    "total_noise_cov",
 ]
 
 REGIME_TAGS = ("continuous", "bounded", "subweibull", "polymoment")
@@ -91,17 +95,20 @@ class LevyRegime:
             sigma = np.asarray(self.sigma, dtype=float)
             if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
                 raise ValueError("sigma must be a square matrix")
+            if not np.all(np.isfinite(sigma)):
+                raise ValueError("sigma has non-finite entries")
             object.__setattr__(self, "sigma", sigma)
-        if self.jump_rate < 0:
-            raise ValueError("jump_rate must be nonnegative")
-        if self.jump_scale <= 0:
-            raise ValueError("jump_scale must be positive")
-        if self.tag == "bounded" and self.z0 <= 0:
-            raise ValueError("z0 must be positive")
-        if self.tag == "subweibull" and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tag == "polymoment" and self.p <= 2:
-            raise ValueError("p must exceed 2")
+        # `0 < x < inf` also rejects NaN, which passes every `<= 0` check
+        if not 0 <= self.jump_rate < math.inf:
+            raise ValueError("jump_rate must be finite and nonnegative")
+        if not 0 < self.jump_scale < math.inf:
+            raise ValueError("jump_scale must be finite and positive")
+        if self.tag == "bounded" and not 0 < self.z0 < math.inf:
+            raise ValueError("z0 must be finite and positive")
+        if self.tag == "subweibull" and not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
+        if self.tag == "polymoment" and not 2 < self.p < math.inf:
+            raise ValueError("p must be finite and exceed 2")
         if self.tag == "continuous" and self.jump_rate != 0.0:
             raise ValueError("continuous regime cannot carry jumps")
 
@@ -121,14 +128,14 @@ class PathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta_n <= 0:
-            raise ValueError("delta_n must be positive")
+        if not 0 < self.delta_n < math.inf:
+            raise ValueError("delta_n must be finite and positive")
         if self.n_obs < 1:
             raise ValueError("n_obs must be >= 1")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if self.burn_in_time is not None and self.burn_in_time < 0:
-            raise ValueError("burn_in_time must be nonnegative")
+        if self.burn_in_time is not None and not 0 <= self.burn_in_time < math.inf:
+            raise ValueError("burn_in_time must be finite and nonnegative")
 
     @property
     def horizon(self) -> float:
@@ -196,6 +203,32 @@ def _jump_radii(regime: LevyRegime, size: int, rng: np.random.Generator) -> np.n
     raise ValueError(f"regime {regime.tag!r} has no jump law")
 
 
+def _jump_second_moment(regime: LevyRegime) -> float:
+    """E[R^2] for the jump radius law of the regime."""
+    scale = regime.jump_scale
+    if regime.tag == "bounded":
+        c = min(regime.z0 / scale, 1.0)
+        return scale**2 * (c**3 / 3.0) + regime.z0**2 * (1.0 - c)
+    if regime.tag == "subweibull":
+        return scale**2 * math.gamma(1.0 + 2.0 / regime.alpha)
+    if regime.tag == "polymoment":
+        a = regime.p + 0.5
+        return scale**2 * a / (a - 2.0)
+    return 0.0
+
+
+def total_noise_cov(regime: LevyRegime, d: int) -> np.ndarray:
+    """Instantaneous covariance of the driving noise: Brownian part plus
+    isotropic compound-Poisson part.  Determines the stationary covariance
+    through the Lyapunov balance for every square-integrable regime."""
+    cov = np.zeros((d, d))
+    if regime.sigma is not None:
+        cov += regime.sigma @ regime.sigma.T
+    if regime.tag != "continuous" and regime.jump_rate > 0:
+        cov += regime.jump_rate * _jump_second_moment(regime) / d * np.eye(d)
+    return cov
+
+
 def _jump_draws(
     regime: LevyRegime, dt: float, n: int, d: int, rng: np.random.Generator
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -239,11 +272,13 @@ def _sample_increments(
 def _propagators(
     a0: np.ndarray, sigma: Optional[np.ndarray], dt: float, m: int
 ) -> tuple[list, Optional[np.ndarray]]:
-    """Powers M^0..M^m of M = I - A0 dt, and the window's Gaussian stack.
+    """Powers M^0..M^m of M = I - A0 dt, and the window's Gaussian factor R.
 
-    The stack is (m d, d) with blocks sqrt(dt) (M^(m-1-j) sigma)^T: a window's
-    m d normals, as one row, times it is sum_j M^(m-1-j) sqrt(dt) sigma g_j,
-    whose covariance is Q_m = stack^T stack.  None without a Brownian part.
+    R is the (d, d) QR factor of the (m d, d) stack with blocks
+    sqrt(dt) (M^(m-1-j) sigma)^T: a window's m d normals, as one row, times
+    the stack is sum_j M^(m-1-j) sqrt(dt) sigma g_j, whose covariance is
+    Q_m = stack^T stack = R^T R (even for a rank-deficient sigma, unlike
+    Cholesky).  None without a Brownian part.
     """
     d = a0.shape[0]
     step = np.eye(d) - a0 * dt
@@ -252,65 +287,61 @@ def _propagators(
         powers.append(step @ powers[-1])
     if sigma is None or not np.any(sigma):
         return powers, None
-    return powers, np.sqrt(dt) * np.concatenate([(pw @ sigma).T for pw in powers[m - 1::-1]])
+    stack = np.sqrt(dt) * np.concatenate([(pw @ sigma).T for pw in powers[m - 1::-1]])
+    return powers, np.linalg.qr(stack, mode="r")
 
 
 def _window_drive(
     regime: LevyRegime,
     dt: float,
-    n_fine: int,
+    n_win: int,
     powers: list,
-    gauss: Optional[np.ndarray],
+    factor: Optional[np.ndarray],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Aggregated drive of n_fine Euler steps, one row per window of m steps.
+    """Aggregated drive of n_win windows of m = len(powers) - 1 Euler steps.
 
-    Row k is sum_j M^(m-1-j) dz_{k,j}, m = len(powers) - 1: d normals times
-    the stack's QR factor R (R^T R = Q_m even for a rank-deficient sigma,
-    unlike Cholesky), then every jump propagated from its own step.  When m
-    does not divide n_fine, row 0 is the partial window of the leading
-    n_fine mod m steps, whose factor is that of the stack's last blocks.
+    Row k is sum_j M^(m-1-j) dz_{k,j}: d normals times the window factor,
+    then every jump of the window's m steps propagated from its own step.
     """
     m = len(powers) - 1
     d = powers[0].shape[0]
-    lead = n_fine % m
-    pad = (m - lead) % m  # missing leading steps of the partial window
-    n_win = -(-n_fine // m)
-    if gauss is None:
+    if factor is None:
         drive = np.zeros((n_win, d))
     else:
-        normals = rng.standard_normal((n_win, d))
-        drive = normals @ np.linalg.qr(gauss, mode="r")
-        if lead:
-            drive[0] = normals[0] @ np.linalg.qr(gauss[pad * d:], mode="r")
-    jumps = _jump_draws(regime, dt, n_fine, d, rng)
+        drive = rng.standard_normal((n_win, d)) @ factor
+    jumps = _jump_draws(regime, dt, n_win * m, d, rng)
     if jumps is not None:
         counts, sizes = jumps
         steps = np.flatnonzero(counts)
         per_step = np.add.reduceat(sizes, np.cumsum(counts[steps]) - counts[steps])
-        window, offset = np.divmod(steps + pad, m)
+        window, offset = np.divmod(steps, m)
         for j in np.unique(offset):
             hit = offset == j
             drive[window[hit]] += per_step[hit] @ powers[m - 1 - j].T
     return drive
 
 
-def _scan(x: np.ndarray, drive: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """States x_0 = x, x_{k+1} = power x_k + drive_k; shape (n + 1, d).
+def _scan(x: np.ndarray, drives: list, power: np.ndarray) -> np.ndarray:
+    """States x_0 = x, x_{k+1} = power x_k + drive_k over the rows of the
+    `drives` arrays in order; shape (n + 1, d) for n rows in all.
 
     Two-level blocked scan over nb blocks of b = ceil(sqrt(n)) rows:
     1. every block's end state from a zero start, all blocks at once;
     2. the start of every block, carried block to block by power^b;
-    3. every state, recomputed inside all blocks at once from those starts.
-    About 3 sqrt(n) Python steps instead of n.  Overflow is left to the
-    caller's guard: states past a blow-up hold inf or nan.
+    3. every state, recomputed inside all blocks at once from those starts,
+       in place over its drive row.
+    About 3 sqrt(n) Python steps instead of n, in one path-sized buffer.
+    Overflow is left to the caller's guard: states past a blow-up hold inf
+    or nan.
     """
-    n, d = drive.shape
+    n, d = sum(len(drive) for drive in drives), len(x)
     b = math.isqrt(max(n - 1, 0)) + 1
     nb = -(-n // b)
-    u = np.zeros((nb * b, d))
-    u[:n] = drive
-    u = u.reshape(nb, b, d)
+    out = np.zeros((nb * b + 1, d))
+    out[0] = x
+    np.concatenate(drives, out=out[1 : n + 1])
+    u = out[1:].reshape(nb, b, d)
     pt = power.T
 
     ends = np.zeros((nb, d))
@@ -324,14 +355,10 @@ def _scan(x: np.ndarray, drive: np.ndarray, power: np.ndarray) -> np.ndarray:
     for i in range(1, nb):
         starts[i] = carry @ starts[i - 1] + ends[i - 1]
 
-    out = np.empty((nb * b + 1, d))
-    out[0] = x
-    fill = out[1:].reshape(nb, b, d)
     prev = starts
     for t in range(b):
-        np.matmul(prev, pt, out=fill[:, t])
-        fill[:, t] += u[:, t]
-        prev = fill[:, t]
+        u[:, t] += prev @ pt
+        prev = u[:, t]
     return out[: n + 1]
 
 
@@ -345,12 +372,12 @@ def simulate_path(
 
     dt = delta_n / substeps.  The substeps between two observations are
     applied as one aggregated step, whose drive `_window_drive` draws from
-    the window's law, and the observations follow by a blocked scan; the
-    path has the law of the stepwise Euler path (module docstring: law
-    contract).  The start is stationarized by running the same dynamics for
-    the burn-in duration from zero (or from `x0` when given; pass
-    burn_in_time=0 to force an exact injected start); its leading
-    `n_burn mod substeps` steps form one partial window.  Raises
+    the window's law, and the states follow by one blocked scan over the
+    burn-in and observed windows; the path has the law of the stepwise
+    Euler path (module docstring: law contract).  The start is stationarized
+    by running the same dynamics from zero (or from `x0` when given; pass
+    burn_in_time=0 to force an exact injected start) for the burn-in
+    duration, rounded up to whole observation windows.  Raises
     SimulationBlowupError when the state leaves the overflow guard by the
     end of burn-in or at an observation, naming the first such observation
     time.  Deterministic given cfg.seed.
@@ -365,32 +392,25 @@ def simulate_path(
     burn_time = cfg.burn_in_time
     if burn_time is None:
         burn_time = 10.0 / model.stability_margin
-    n_burn = int(round(burn_time / dt))
+    n_burn = -(-int(round(burn_time / dt)) // m)  # whole windows
 
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        powers, gauss = _propagators(model.a0, regime.sigma, dt, m)
-        if n_burn > 0:
-            drive = _window_drive(regime, dt, n_burn, powers, gauss, rng)
-            lead = n_burn % m
-            if lead:
-                x = powers[lead] @ x + drive[0]
-                drive = drive[1:]
-            x = _scan(x, drive, powers[m])[-1]
-            if not np.all(np.abs(x) < OVERFLOW_GUARD):
-                raise SimulationBlowupError(
-                    f"burn-in exceeded overflow guard (dt={dt:g}, "
-                    f"stability_margin={model.stability_margin:g})"
-                )
-
-        drive = _window_drive(regime, dt, cfg.n_obs * m, powers, gauss, rng)
-        states = _scan(x, drive, powers[m])
-        bad = ~np.all(np.abs(states[1:]) < OVERFLOW_GUARD, axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
+        powers, factor = _propagators(model.a0, regime.sigma, dt, m)
+        drives = [_window_drive(regime, dt, n, powers, factor, rng) for n in (n_burn, cfg.n_obs)]
+        states = _scan(x, drives, powers[m])[n_burn:]
+        del drives  # copied into the scan buffer
+        bad = ~np.all(np.abs(states) < OVERFLOW_GUARD, axis=1)
+    if n_burn and bad[0]:
+        raise SimulationBlowupError(
+            f"burn-in exceeded overflow guard (dt={dt:g}, "
+            f"stability_margin={model.stability_margin:g})"
+        )
+    if bad[1:].any():
+        k = int(np.argmax(bad[1:]))
         raise SimulationBlowupError(
             f"state exceeded overflow guard at t={(k + 1) * cfg.delta_n:g} "
             f"(dt={dt:g}, stability_margin={model.stability_margin:g})"

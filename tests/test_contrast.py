@@ -29,6 +29,13 @@ def noiseless_obs(model, x0, n, delta_n):
     return simulate_path(model, regime, cfg, x0=x0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["radius_b", "eta"])
+def test_localization_config_rejects_nonfinite_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        LocalizationConfig(**{"radius_b": 1.0, "eta": 1.0, key: value})
+
+
 def test_localization_config_validation():
     with pytest.raises(ValueError):
         LocalizationConfig(radius_b=0.0, eta=1.0)

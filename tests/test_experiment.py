@@ -12,6 +12,7 @@ import oudrift.experiment as experiment
 from oudrift.experiment import (
     RESULT_COLUMNS,
     ExperimentConfig,
+    LocalizationRule,
     config_from_dict,
     config_to_dict,
     regime_preset,
@@ -104,12 +105,44 @@ def test_config_json_round_trip_identity():
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
     doc = config_to_dict(regime_preset("bounded"))
     edit(doc)
+    _assert_run_rejects(tmp_path, capsys, doc, message)
+
+
+def _assert_run_rejects(tmp_path, capsys, doc, message):
+    """Loading `doc` raises ValueError matching `message`; `oudrift run` exits 2."""
     with pytest.raises(ValueError, match=message):
         config_from_dict(doc)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "tag, key",
+    [("bounded", "jump_rate"), ("bounded", "jump_scale"), ("bounded", "z0"),
+     ("subweibull", "alpha"), ("polymoment", "p"), ("bounded", "sigma")],
+)
+def test_levy_regime_rejects_nonfinite_settings(tmp_path, capsys, tag, key, value):
+    doc = config_to_dict(regime_preset(tag))
+    if key == "sigma":
+        doc["regime"]["sigma"][0][0] = value
+    else:
+        doc["regime"][key] = value
+    with pytest.raises(ValueError, match=key):
+        LevyRegime(**doc["regime"])
+    _assert_run_rejects(tmp_path, capsys, doc, key)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("key", ["radius_mult", "eta_mult"])
+def test_localization_rule_rejects_out_of_range(tmp_path, capsys, key, value):
+    with pytest.raises(ValueError, match=key):
+        LocalizationRule(**{key: value})
+    doc = config_to_dict(regime_preset("bounded"))
+    doc["localization"][key] = value
+    _assert_run_rejects(tmp_path, capsys, doc, key)
 
 
 def test_config_round_trip_keeps_solver_warm_start():
@@ -128,12 +161,19 @@ def test_config_round_trip_keeps_solver_warm_start():
 
 
 def test_total_noise_cov_matches_sampler():
-    regime = LevyRegime(tag="subweibull", sigma=0.5 * np.eye(3), jump_rate=1.0,
-                        jump_scale=0.5, alpha=1.0)
-    cov = total_noise_cov(regime, 3)
-    inc = _sample_increments(regime, 0.5, 300000, 3, np.random.default_rng(0))
-    emp = inc.T @ inc / inc.shape[0] / 0.5
-    assert np.max(np.abs(emp - cov)) <= 0.05 * np.max(np.abs(cov)) + 0.01
+    # after the first, pure-jump regimes: each jump law's second moment is
+    # then the whole covariance; z0 < jump_scale clips some bounded radii
+    regimes = [
+        LevyRegime(tag="subweibull", sigma=0.5 * np.eye(3), jump_rate=1.0, jump_scale=0.5, alpha=1.0),
+        LevyRegime(tag="bounded", jump_rate=1.0, jump_scale=0.5, z0=0.4),
+        LevyRegime(tag="subweibull", jump_rate=1.0, jump_scale=0.5, alpha=1.0),
+        LevyRegime(tag="polymoment", jump_rate=1.0, jump_scale=0.5, p=4.0),
+    ]
+    for k, regime in enumerate(regimes):
+        cov = total_noise_cov(regime, 3)
+        inc = _sample_increments(regime, 0.5, 300000, 3, np.random.default_rng(k))
+        emp = inc.T @ inc / inc.shape[0] / 0.5
+        assert np.max(np.abs(emp - cov)) <= 0.05 * np.max(np.abs(cov)), regime
 
 
 def test_run_experiment_row_count_and_determinism(tmp_path):

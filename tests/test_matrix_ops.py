@@ -4,7 +4,6 @@ import pytest
 from oudrift.matrix_ops import (
     TangentSpaces,
     as_matrix,
-    frobenius_norm,
     l1_norm,
     linf_norm,
     nuclear_norm,
@@ -32,12 +31,6 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(ValueError):
         as_matrix([1.0, 2.0])
-
-
-def test_frobenius_norm_examples():
-    assert frobenius_norm([[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-    assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
 
 
 def test_nuclear_norm_examples():
@@ -101,7 +94,7 @@ def test_projectors_idempotent_self_adjoint_orthogonal():
         n = rng.standard_normal((5, 5))
         for proj in (project_tl, project_ts):
             pm = proj(ts, m)
-            assert frobenius_norm(proj(ts, pm) - pm) <= 1e-10
+            assert np.linalg.norm(proj(ts, pm) - pm) <= 1e-10
             assert abs(np.sum(pm * n) - np.sum(m * proj(ts, n))) <= 1e-10
         # residual is orthogonal to the projection
         pm = project_tl(ts, m)
@@ -170,10 +163,10 @@ def test_singular_value_threshold_minimizes_prox_objective():
     m = rng.standard_normal((4, 4))
     lam = 0.3
     x = singular_value_threshold(m, lam)
-    obj = 0.5 * frobenius_norm(x - m) ** 2 + lam * nuclear_norm(x)
+    obj = 0.5 * np.linalg.norm(x - m) ** 2 + lam * nuclear_norm(x)
     for _ in range(100):
         pert = x + 0.1 * rng.standard_normal((4, 4))
-        obj_pert = 0.5 * frobenius_norm(pert - m) ** 2 + lam * nuclear_norm(pert)
+        obj_pert = 0.5 * np.linalg.norm(pert - m) ** 2 + lam * nuclear_norm(pert)
         assert obj <= obj_pert + 1e-12
 
 

@@ -136,8 +136,9 @@ def _window_cov(step, sigma, dt, steps):
 def _stepwise_euler(model, regime, cfg, x0=None, fine_normals=False):
     """Reference: one Euler step per substep; returns the observed states.
 
-    Jumps enter at their own step, on the draws `_jump_draws` makes.  The
-    Brownian part of each window of l steps enters at the window's end, as
+    The burn-in is rounded up to whole windows of m = substeps steps.  Jumps
+    enter at their own step, on the draws `_jump_draws` makes.  The
+    Brownian part of each window enters at the window's end, as
     simulate_path draws it: d normals times a factor R with R^T R equal to
     the stepwise sum of its covariance.  With fine_normals it enters step by
     step instead, from `_sample_increments`' d normals per step, so the two
@@ -150,26 +151,25 @@ def _stepwise_euler(model, regime, cfg, x0=None, fine_normals=False):
     burn_time = cfg.burn_in_time
     if burn_time is None:
         burn_time = 10.0 / model.stability_margin
-    n_burn = int(round(burn_time / dt))
+    n_burn = -(-int(round(burn_time / dt)) // m)  # whole windows
     brownian = regime.sigma is not None and not fine_normals
 
-    def windows(x, n_fine):
-        lead = n_fine % m
-        sizes = [lead] * (lead > 0) + [m] * (n_fine // m)
-        gauss = np.zeros((len(sizes), d))
+    def windows(x, n_win):
+        gauss = np.zeros((n_win, d))
         if brownian:
-            for w, size in enumerate(sizes):
-                # the same QR call simulate_path makes, on the stepwise stack
-                power, blocks = np.eye(d), []
-                for _ in range(size):
-                    blocks.insert(0, np.sqrt(dt) * (power @ regime.sigma).T)
-                    power = step @ power
-                gauss[w] = rng.standard_normal(d) @ np.linalg.qr(np.concatenate(blocks), mode="r")
+            # the same QR call simulate_path makes, on the stepwise stack
+            power, blocks = np.eye(d), []
+            for _ in range(m):
+                blocks.insert(0, np.sqrt(dt) * (power @ regime.sigma).T)
+                power = step @ power
+            factor = np.linalg.qr(np.concatenate(blocks), mode="r")
+            for w in range(n_win):
+                gauss[w] = rng.standard_normal(d) @ factor
         noise = replace(regime, sigma=None) if brownian else regime
-        dz = iter(_sample_increments(noise, dt, n_fine, d, rng))
+        dz = iter(_sample_increments(noise, dt, n_win * m, d, rng))
         ends = []
-        for w, size in enumerate(sizes):
-            for _ in range(size):
+        for w in range(n_win):
+            for _ in range(m):
                 x = x - (model.a0 @ x) * dt + next(dz)
             x = x + gauss[w]
             ends.append(x)
@@ -178,7 +178,7 @@ def _stepwise_euler(model, regime, cfg, x0=None, fine_normals=False):
     x = np.zeros(d) if x0 is None else np.array(x0, dtype=float)
     if n_burn > 0:
         x = windows(x, n_burn)[-1]
-    return np.array([x] + windows(x, cfg.n_obs * m))
+    return np.array([x] + windows(x, cfg.n_obs))
 
 
 REGIMES_D4 = [
@@ -261,29 +261,24 @@ class _UnitNormals:
 RANK_ONE = np.outer([1.0, -0.5, 0.25, 2.0], [0.5, 1.0, 0.0, -1.0])
 
 
-@pytest.mark.parametrize("m,n_fine", [(1, 5), (3, 9), (3, 11), (10, 30), (10, 27)])
+@pytest.mark.parametrize("m,n_fine", [(1, 5), (3, 9), (10, 30)])
 @pytest.mark.parametrize("sigma", [np.eye(4), 0.5 * np.eye(4), RANK_ONE], ids=["I", "half-I", "rank1"])
 def test_window_factor_matches_stepwise_covariance(sigma, m, n_fine):
     model = generate_drift(d=4, r=1, s=3, seed=5)
     dt = 0.1 / m
-    powers, gauss = _propagators(model.a0, sigma, dt, m)
+    powers, factor = _propagators(model.a0, sigma, dt, m)
     continuous = LevyRegime(tag="continuous")
-    rows = [_window_drive(continuous, dt, n_fine, powers, gauss, _UnitNormals(i)) for i in range(4)]
-    step = np.eye(4) - model.a0 * dt
-    lead = n_fine % m
-    # the last window is full; the first is partial when m does not divide n_fine
-    cases = [(np.array([r[-1] for r in rows]), m)]
-    if lead:
-        cases.append((np.array([r[0] for r in rows]), lead))
-    for factor, steps in cases:
-        cov = _window_cov(step, sigma, dt, steps)
-        assert np.linalg.norm(factor.T @ factor - cov) <= 1e-12 * np.linalg.norm(cov)
+    n_win = n_fine // m
+    rows = [_window_drive(continuous, dt, n_win, powers, factor, _UnitNormals(i)) for i in range(4)]
+    factor = np.array([r[-1] for r in rows])
+    cov = _window_cov(np.eye(4) - model.a0 * dt, sigma, dt, m)
+    assert np.linalg.norm(factor.T @ factor - cov) <= 1e-12 * np.linalg.norm(cov)
 
 
 @pytest.mark.parametrize("regime", REGIMES_D4[:2], ids=_regime_id)
 def test_window_law_monte_carlo(regime):
     """x_1 from simulate_path and from fine-step Euler agree in mean and
-    covariance; the burn-in is one partial window of 2 steps out of 4."""
+    covariance; the burn-in of 2 steps is rounded up to one window of 4."""
     model = generate_drift(d=4, r=1, s=3, seed=5)
     cfg = PathConfig(delta_n=0.4, n_obs=1, substeps=4, burn_in_time=0.2, seed=0)
     x0 = np.array([1.0, -2.0, 0.5, 3.0])
@@ -346,8 +341,8 @@ def test_simulation_blowup_raises():
 def test_simulation_blowup_in_burn_in_raises():
     model = generate_drift(d=3, r=0, s=0, seed=0, spectral_floor=1.0)  # a0 = I
     regime = LevyRegime(tag="continuous", sigma=np.eye(3))
-    # dt = 2.5 makes each step multiply by -1.5; 2001 steps overflow to inf,
-    # and the odd count leaves one step outside the pairs of substeps
+    # dt = 2.5 makes each step multiply by -1.5; 2001 steps, rounded up to
+    # 1001 windows of 2, overflow to inf
     cfg = PathConfig(delta_n=5.0, n_obs=10, substeps=2, burn_in_time=5002.5, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -407,6 +402,13 @@ def test_path_config_validation():
     with pytest.raises(ValueError):
         PathConfig(delta_n=0.1, n_obs=10, burn_in_time=-1.0)
     assert PathConfig(delta_n=0.1, n_obs=10).horizon == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["delta_n", "burn_in_time"])
+def test_path_config_rejects_nonfinite_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        PathConfig(**{"delta_n": 0.1, "n_obs": 10, key: value})
 
 
 def test_derive_seed_stable_and_distinct():
