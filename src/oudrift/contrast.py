@@ -71,14 +71,16 @@ def localization_from_observations(
     radius_mult: float = 3.0,
     eta_mult: float = 4.0,
     eta_scale: float = 1.0,
+    increments: Optional[np.ndarray] = None,
 ) -> LocalizationConfig:
     """Data-driven localization: radius_mult x the RMS state norm and
     eta_mult x the mean increment norm (times a regime-specific eta_scale).
+    `increments` is obs.increments when a caller has already taken them.
 
     Raises DegenerateLocalizationError when either level is not positive,
     as on a path that never moves."""
     radius_b = radius_mult * float(np.sqrt(np.vdot(obs.states, obs.states) / len(obs.states)))
-    inc = obs.increments
+    inc = obs.increments if increments is None else increments
     eta = eta_mult * float(np.mean(np.sqrt(np.einsum("ij,ij->i", inc, inc)))) * eta_scale
     if not (radius_b > 0 and eta > 0):
         raise DegenerateLocalizationError(
@@ -102,10 +104,15 @@ class ContrastContext:
     c_n: np.ndarray
 
 
-def build_context(obs: ObservationSet, loc: LocalizationConfig) -> ContrastContext:
-    """Reduce a path to the contrast's sufficient statistics (module docstring)."""
+def build_context(
+    obs: ObservationSet, loc: LocalizationConfig, increments: Optional[np.ndarray] = None
+) -> ContrastContext:
+    """Reduce a path to the contrast's sufficient statistics (module docstring).
+
+    `increments` is obs.increments when a caller has already taken them; its
+    inactive rows are zeroed in place, so this must be their last reader."""
     x_prev = obs.states[:-1]
-    inc = obs.increments  # a fresh array: inactive rows are zeroed in place
+    inc = obs.increments if increments is None else increments
     n = obs.n_obs
     active = (np.sqrt(np.einsum("ij,ij->i", x_prev, x_prev)) <= loc.radius_b) & (
         np.sqrt(np.einsum("ij,ij->i", inc, inc)) <= loc.eta
@@ -139,8 +146,8 @@ def _checked(ctx: ContrastContext, a) -> np.ndarray:
 def _loss_given_product(ctx: ContrastContext, a: np.ndarray, ac: np.ndarray) -> float:
     """Loss at a valid (d, d) matrix a, given its product ac = a @ c_n."""
     dn = ctx.delta_n
-    quad = float(np.sum(ac * a))  # (1/n) sum ||a x_k||^2
-    return ctx.s0 + 2.0 * dn * float(np.sum(ctx.m1 * a)) + dn * dn * quad
+    quad = float((ac * a).sum())  # (1/n) sum ||a x_k||^2
+    return ctx.s0 + 2.0 * dn * float((ctx.m1 * a).sum()) + dn * dn * quad
 
 
 def _gradient_given_product(ctx: ContrastContext, ac: np.ndarray) -> np.ndarray:

@@ -242,10 +242,13 @@ def _resolved_gamma(cfg: ExperimentConfig) -> float:
     return cfg.tuning.gamma_value
 
 
-def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
-    """Drift, path, localization and contrast context of the replicate (or
-    calibration pilot) with this seed at horizon t.
+def _replicate_data(cfg: ExperimentConfig, t: float, seed: int, trunc_moment: bool = False):
+    """Drift, path, localization, truncated increment moment (None unless
+    `trunc_moment`) and contrast context of the replicate (or calibration
+    pilot) with this seed at horizon t.
 
+    The path's increments are taken once and handed to each reader;
+    build_context zeroes rows of them in place, so it reads them last.
     Calls the other layers through this module's globals, so a tracer that
     wraps them sees every call.
     """
@@ -261,13 +264,16 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
         sparse_magnitude=cfg.sparse_magnitude,
     )
     obs = simulate_path(model, cfg.regime, pcfg)
+    inc = obs.increments
     loc = localization_from_observations(
         obs,
         radius_mult=cfg.localization.radius_mult,
         eta_mult=cfg.localization.eta_mult,
         eta_scale=_eta_scale(cfg.regime, cfg.delta_n),
+        increments=inc,
     )
-    return model, obs, loc, build_context(obs, loc)
+    moment = empirical_trunc_moment(obs, loc.eta, increments=inc) if trunc_moment else None
+    return model, obs, loc, moment, build_context(obs, loc, increments=inc)
 
 
 @dataclass(frozen=True)
@@ -342,7 +348,7 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     for k in range(cfg.calibration_reps):
         seed = derive_seed(cfg.seed_base, "calibration", k)
         try:
-            model, _, _, ctx = _replicate_data(cfg, t, seed)
+            model, _, _, _, ctx = _replicate_data(cfg, t, seed)
         except _REPLICATE_ERRORS as exc:
             message = _error_message(exc)
             logger.warning("calibration pilot %d (seed %d) dropped: %s", k, seed, message)
@@ -423,7 +429,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
     lambdas = tune_lambdas(cfg.d, t, calib.solver_tuning)
     cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
     try:
-        model, obs, loc, ctx = _replicate_data(cfg, t, seed)
+        model, obs, loc, moment, ctx = _replicate_data(cfg, t, seed, trunc_moment=True)
         result = solve(ctx, lambdas, cfg.solver)
     except _REPLICATE_ERRORS as exc:
         message = _error_message(exc)
@@ -463,7 +469,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
         "min_eig_cn": rsc.min_eig_cn,
         "c_b_proxy": rsc.c_b_proxy,
         "rsc_pass": int(rsc.passes),
-        "trunc_moment": empirical_trunc_moment(obs, loc.eta),
+        "trunc_moment": moment,
         "iterations": result.iterations,
         "converged": int(result.converged),
         "wall_time_s": time.perf_counter() - start,

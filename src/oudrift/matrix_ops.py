@@ -3,6 +3,9 @@
 Everything operates on plain 2-D float ndarrays.  Tangent spaces for the
 low-rank-plus-sparse geometry are described by orthonormal factor bases
 (for the low-rank part) and an index support set (for the sparse part).
+Each prox operator is a validating public wrapper (level check, then
+`as_matrix`) around an unchecked kernel that holds its math; the solver,
+which keeps its iterates finite by checking their loss, calls the kernels.
 """
 
 from __future__ import annotations
@@ -179,17 +182,22 @@ def _check_level(lam) -> None:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
 
-def soft_threshold(m, lam: float) -> np.ndarray:
-    """Entry-wise shrinkage sign(x) * max(|x| - lam, 0); prox of lam * l1 norm."""
-    _check_level(lam)
-    m = as_matrix(m)
+def _soft_threshold(m: np.ndarray, lam: float) -> np.ndarray:
+    """soft_threshold's kernel, unchecked: m a finite 2-D float array, lam a
+    finite nonnegative level."""
     return np.sign(m) * np.maximum(np.abs(m) - lam, 0.0)
 
 
-def singular_value_threshold(m, lam: float, return_spectrum: bool = False):
-    """Shrink singular values by lam; prox of lam * nuclear norm.
+def soft_threshold(m, lam: float) -> np.ndarray:
+    """Entry-wise shrinkage sign(x) * max(|x| - lam, 0); prox of lam * l1 norm."""
+    _check_level(lam)
+    return _soft_threshold(as_matrix(m), lam)
 
-    With `return_spectrum`, also return the shrunk singular values
+
+def _singular_value_threshold(m: np.ndarray, lam: float) -> tuple:
+    """singular_value_threshold's kernel, unchecked: m a finite 2-D float
+    array, lam a finite nonnegative level (a non-finite m makes eigh raise
+    LinAlgError).  Returns the result and its shrunk singular values
     max(sigma - lam, 0), min(p, q) of them for a (p, q) input, in descending
     order; their sum is the nuclear norm of the result.
 
@@ -199,25 +207,33 @@ def singular_value_threshold(m, lam: float, return_spectrum: bool = False):
     of (1 - lam / sigma_k) b_k v_k^T over sigma_k > lam.  Taking sigma_k as a
     column norm keeps it accurate to about eps * sigma_max; the square root
     of the eigenvalue would be accurate only to about sqrt(eps) * sigma_max.
-    Accuracy domain: for lam >= 1e-4 * sigma_max (the solver's thresholds
-    sit above 2e-3 * sigma_max) the result matches the SVD route to about
-    1e-11 * sigma_max, with the same numerical rank, at condition numbers up
-    to 1e8.  Far smaller thresholds keep directions with sigma_k below
-    sqrt(eps) * sigma_max, which the Gram matrix does not resolve: there the
-    gap reaches about 1e-8 * sigma_max and the numerical rank may differ.
     """
-    _check_level(lam)
-    m = as_matrix(m)
     wide = m.shape[0] < m.shape[1]
     if wide:
         m = m.T
     _, v = np.linalg.eigh(m.T @ m)
     b = m @ v
-    sigma = np.linalg.norm(b, axis=0)
+    sigma = np.sqrt(np.add.reduce(b * b, axis=0))  # np.linalg.norm's reduction
     keep = sigma > lam
     out = (b[:, keep] * (1.0 - lam / sigma[keep])) @ v[:, keep].T
     if wide:
         out = out.T
-    if return_spectrum:
-        return out, np.sort(np.maximum(sigma - lam, 0.0))[::-1]
-    return out
+    shrunk = np.maximum(sigma - lam, 0.0)
+    shrunk.sort()
+    return out, shrunk[::-1]
+
+
+def singular_value_threshold(m, lam: float) -> np.ndarray:
+    """Shrink singular values by lam; prox of lam * nuclear norm.
+
+    Computed from the Gram eigendecomposition (see the kernel,
+    `_singular_value_threshold`).  Accuracy domain: for lam >= 1e-4 *
+    sigma_max (the solver's thresholds sit above 2e-3 * sigma_max) the
+    result matches the SVD route to about 1e-11 * sigma_max, with the same
+    numerical rank, at condition numbers up to 1e8.  Far smaller thresholds
+    keep directions with sigma_k below sqrt(eps) * sigma_max, which the Gram
+    matrix does not resolve: there the gap reaches about 1e-8 * sigma_max
+    and the numerical rank may differ.
+    """
+    _check_level(lam)
+    return _singular_value_threshold(as_matrix(m), lam)[0]

@@ -418,11 +418,14 @@ def simulate_path(
     return ObservationSet(states, cfg.delta_n)
 
 
-def empirical_trunc_moment(obs: ObservationSet, eta: float) -> float:
-    """Mean of ||increment||^2 over increments with norm above eta."""
+def empirical_trunc_moment(
+    obs: ObservationSet, eta: float, increments: Optional[np.ndarray] = None
+) -> float:
+    """Mean of ||increment||^2 over increments with norm above eta;
+    `increments` is obs.increments when a caller has already taken them."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    inc = obs.increments
+    inc = obs.increments if increments is None else increments
     norms_sq = np.einsum("ij,ij->i", inc, inc)
     return float(np.mean(norms_sq * (np.sqrt(norms_sq) > eta)))
 

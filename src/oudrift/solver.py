@@ -27,12 +27,12 @@ from .contrast import (
 )
 from .matrix_ops import (
     DEFAULT_TOLS,
+    _singular_value_threshold,
+    _soft_threshold,
     l1_norm,
     linf_norm,
     nuclear_norm,
     operator_norm,
-    singular_value_threshold,
-    soft_threshold,
 )
 from .simulate import LevyRegime
 
@@ -148,38 +148,48 @@ def _start(value, name: str, d: int) -> np.ndarray:
 
 
 def _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one):
-    """One prox-gradient step on both blocks; also returns ||l_new||_*."""
-    l_new, spectrum = singular_value_threshold(
-        l_pt - tau * g, tau * lam_star, return_spectrum=True
-    )
-    s_new = soft_threshold(s_pt - tau * g, tau * lam_one)
-    return l_new, s_new, float(np.sum(spectrum))
+    """One prox-gradient step on both blocks; also returns ||l_new||_*.
+    Calls the unchecked prox kernels: the inputs must be finite."""
+    tau_g = tau * g
+    l_new, spectrum = _singular_value_threshold(l_pt - tau_g, tau * lam_star)
+    s_new = _soft_threshold(s_pt - tau_g, tau * lam_one)
+    return l_new, s_new, float(spectrum.sum())
 
 
 def _backtracked_step(ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, iteration):
     """A prox-gradient step from (l_pt, s_pt), given their sum's product
     ac_pt with c_n and smooth loss loss_pt; tau halves until the new pair's
     loss lies under the quadratic upper bound.  Returns the new pair, its
-    product, smooth loss and objective, and the accepted tau."""
+    product, smooth loss and objective, and the accepted tau.
+
+    A finite loss at a point makes the pair and its product finite, so
+    checking the scalar loss at the start point and at each trial point
+    keeps the prox kernels' inputs finite; a gradient that still overflows
+    makes eigh raise.  Each of these raises DivergenceError."""
+    if not math.isfinite(loss_pt):
+        raise DivergenceError(f"objective non-finite at iteration {iteration}")
     g = _gradient_given_product(ctx, ac_pt)
     while True:
-        l_new, s_new, nuc_new = _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
+        try:
+            l_new, s_new, nuc_new = _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one)
+        except np.linalg.LinAlgError as exc:
+            raise DivergenceError(f"gradient non-finite at iteration {iteration}") from exc
         dl = l_new - l_pt
         ds = s_new - s_pt
         a_new = l_new + s_new
         ac_new = a_new @ ctx.c_n
         loss_new = _loss_given_product(ctx, a_new, ac_new)
-        if not np.isfinite(loss_new):
+        if not math.isfinite(loss_new):
             raise DivergenceError(f"objective non-finite at iteration {iteration}")
         bound = (
             loss_pt
-            + float(np.sum(g * dl)) + float(np.sum(g * ds))
-            + (float(np.sum(dl * dl)) + float(np.sum(ds * ds))) / (2.0 * tau)
+            + float((g * dl).sum()) + float((g * ds).sum())
+            + (float((dl * dl).sum()) + float((ds * ds).sum())) / (2.0 * tau)
         )
         if loss_new <= bound + 1e-14 * max(1.0, abs(bound)):
             break
         tau *= 0.5
-    f_new = loss_new + lam_star * nuc_new + lam_one * float(np.sum(np.abs(s_new)))
+    f_new = loss_new + lam_star * nuc_new + lam_one * float(np.abs(s_new).sum())
     return l_new, s_new, ac_new, loss_new, f_new, tau
 
 
@@ -205,11 +215,17 @@ def solve(
     otherwise), and is copied, never modified.  A warm start changes where
     the iteration starts, not the problem: near a previous solution it
     reaches the tol stop in fewer iterations.  Raises DivergenceError when
-    the objective is non-finite at the start or at a trial point.
+    the objective is non-finite at the start, at an extrapolated point or
+    at a trial point, or when a gradient overflows.
 
-    The loss is exactly quadratic, so each evaluated point costs one
-    product a @ c_n, shared by the loss and the gradient there; a step from
-    the current iterate reuses the product the previous step computed.
+    Cost per step: one Gram eigendecomposition per prox step (the loop
+    calls the unchecked prox kernels), one product a @ c_n per evaluated
+    point, shared by the loss and the gradient there (the loss is exactly
+    quadratic; a step from the current iterate reuses the product the
+    previous step computed), and plain array passes.  Element-wise
+    validation happens only at the public boundary (the warm starts and the
+    initial objective); in the loop, a scalar finiteness check of the loss
+    at each start and trial point keeps the kernels' inputs finite.
     """
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     if lam_star < 0 or lam_one < 0:
@@ -229,7 +245,7 @@ def solve(
     ac_cur = a_cur @ c_n
     loss_cur = _loss_given_product(ctx, a_cur, ac_cur)
     f_cur = loss_cur + lam_star * nuclear_norm(l_cur) + lam_one * l1_norm(s_cur)
-    if not np.isfinite(f_cur):
+    if not math.isfinite(f_cur):
         raise DivergenceError("objective non-finite at the initial point")
     trace = [f_cur]
 

@@ -15,7 +15,9 @@ from oudrift.matrix_ops import (
     project_ts_perp,
     singular_value_threshold,
     soft_threshold,
+    _singular_value_threshold,
 )
+from oudrift.solver import _prox_step
 
 
 def random_tangent(d, r, n_support, rng):
@@ -183,7 +185,7 @@ def test_singular_value_threshold_matches_bruteforce_oracle():
 def test_singular_value_threshold_spectrum_is_nuclear_norm():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((6, 6))
-    x, spectrum = singular_value_threshold(m, 0.7, return_spectrum=True)
+    x, spectrum = _singular_value_threshold(m, 0.7)
     np.testing.assert_array_equal(x, singular_value_threshold(m, 0.7))
     assert float(np.sum(spectrum)) == pytest.approx(nuclear_norm(x), rel=1e-12)
 
@@ -216,18 +218,31 @@ def test_singular_value_threshold_matches_svd_oracle(d, kind):
         m = stress_matrix(d, kind, rng)
         sigma_max = operator_norm(m)
         lam = sigma_max * 10.0 ** rng.uniform(-4.0, 0.0)
-        x, spectrum = singular_value_threshold(m, lam, return_spectrum=True)
+        x, spectrum = _singular_value_threshold(m, lam)
         want, want_spectrum = svd_threshold(m, lam)
         assert np.max(np.abs(x - want)) <= 1e-9 * sigma_max
         assert np.max(np.abs(spectrum - want_spectrum)) <= 1e-9 * sigma_max
         assert numerical_rank(x) == numerical_rank(want)
+
+        # the solver's step runs the unchecked kernels on z = pt - tau g;
+        # it equals the public operators bit for bit at levels keeping no,
+        # some and every singular value
+        g, tau = m.T, 0.5
+        z = m - tau * g
+        sig = np.linalg.svd(z, compute_uv=False)
+        for level in (2.0 * sig[0], 0.5 * (sig[0] + sig[-1]), 0.0):
+            lam_pt = level / tau
+            l_new, s_new, nuc = _prox_step(m, m, g, tau, lam_pt, lam_pt)
+            np.testing.assert_array_equal(l_new, singular_value_threshold(z, tau * lam_pt))
+            np.testing.assert_array_equal(s_new, soft_threshold(z, tau * lam_pt))
+            assert nuc == pytest.approx(nuclear_norm(l_new), rel=0.0, abs=d * 1e-9 * sig[0])
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (3, 7), (7, 3), (20, 60), (60, 20)])
 def test_singular_value_threshold_non_square(shape):
     m = np.random.default_rng(11).standard_normal(shape)
     lam = 0.3 * operator_norm(m)
-    x, spectrum = singular_value_threshold(m, lam, return_spectrum=True)
+    x, spectrum = _singular_value_threshold(m, lam)
     want, want_spectrum = svd_threshold(m, lam)
     assert x.shape == shape
     assert spectrum.shape == (min(shape),)
@@ -239,11 +254,11 @@ def test_singular_value_threshold_non_square(shape):
 @pytest.mark.parametrize("shape", [(2, 2), (60, 60), (4, 9), (9, 4)])
 def test_singular_value_threshold_zero_level_and_zero_matrix(shape):
     m = np.random.default_rng(12).standard_normal(shape)
-    x, spectrum = singular_value_threshold(m, 0.0, return_spectrum=True)
+    x, spectrum = _singular_value_threshold(m, 0.0)
     np.testing.assert_allclose(x, m, rtol=0.0, atol=1e-12 * operator_norm(m))
     np.testing.assert_allclose(spectrum, np.linalg.svd(m, compute_uv=False), rtol=1e-12)
     for lam in (0.0, 1.0):
-        x, spectrum = singular_value_threshold(np.zeros(shape), lam, return_spectrum=True)
+        x, spectrum = _singular_value_threshold(np.zeros(shape), lam)
         np.testing.assert_array_equal(x, np.zeros(shape))
         np.testing.assert_array_equal(spectrum, np.zeros(min(shape)))
 

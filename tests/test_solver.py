@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import oudrift.solver as solver
-from oudrift.contrast import LocalizationConfig, build_context, gradient, localization_from_observations, loss
+from oudrift.contrast import (
+    ContrastContext,
+    LocalizationConfig,
+    _loss_given_product,
+    build_context,
+    gradient,
+    localization_from_observations,
+    loss,
+)
 from oudrift.matrix_ops import l1_norm, linf_norm, nuclear_norm, operator_norm
 from oudrift.models import generate_drift
 from oudrift.simulate import LevyRegime, ObservationSet, PathConfig, simulate_path
@@ -304,6 +312,28 @@ def test_divergence_error_on_nonfinite_start():
     huge = np.full((ctx.d, ctx.d), 1e200)
     with pytest.raises(DivergenceError):
         solve(ctx, (0.1, 0.1), SolverConfig(l_init=huge, s_init=huge))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_trial_point_is_divergence():
+    # the solver's prox kernels skip the public operators' element scans; a
+    # non-finite point must still end the solve as DivergenceError (a
+    # flagged row), never as ValueError or LinAlgError
+    _, ctx = make_ctx(seed=6, n=50)
+    zero = np.zeros((ctx.d, ctx.d))
+    for bad in (np.nan, np.inf):  # an extrapolated point that overflowed
+        l_pt = np.full((ctx.d, ctx.d), bad)
+        ac_pt = l_pt @ ctx.c_n
+        loss_pt = _loss_given_product(ctx, l_pt, ac_pt)
+        with pytest.raises(DivergenceError, match="objective non-finite at iteration 7"):
+            solver._backtracked_step(ctx, 0.1, 0.1, l_pt, zero, ac_pt, loss_pt, 1.0, 7)
+    # a finite start whose gradient overflows: the first trial point holds
+    # -inf, on which eigh raises LinAlgError or returns NaN
+    m1 = np.zeros((3, 3))
+    m1[0, 0] = 1e308
+    huge = ContrastContext(d=3, delta_n=1.0, n=1, n_active=1, s0=0.0, m1=m1, c_n=np.eye(3))
+    with pytest.raises(DivergenceError, match="non-finite at iteration 1"):
+        solve(huge, (0.1, 0.1))
 
 
 @pytest.mark.parametrize(
