@@ -247,8 +247,7 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int, trunc_moment: bo
     `trunc_moment`) and contrast context of the replicate (or calibration
     pilot) with this seed at horizon t.
 
-    The path's increments are taken once and handed to each reader;
-    build_context zeroes rows of them in place, so it reads them last.
+    Every reader shares the path's cached increments and their norms.
     Calls the other layers through this module's globals, so a tracer that
     wraps them sees every call.
     """
@@ -264,16 +263,14 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int, trunc_moment: bo
         sparse_magnitude=cfg.sparse_magnitude,
     )
     obs = simulate_path(model, cfg.regime, pcfg)
-    inc = obs.increments
     loc = localization_from_observations(
         obs,
         radius_mult=cfg.localization.radius_mult,
         eta_mult=cfg.localization.eta_mult,
         eta_scale=_eta_scale(cfg.regime, cfg.delta_n),
-        increments=inc,
     )
-    moment = empirical_trunc_moment(obs, loc.eta, increments=inc) if trunc_moment else None
-    return model, obs, loc, moment, build_context(obs, loc, increments=inc)
+    moment = empirical_trunc_moment(obs, loc.eta) if trunc_moment else None
+    return model, obs, loc, moment, build_context(obs, loc)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ The fine normals are never drawn.  The Gaussian part of u_k is exactly
 N(0, Q_m), Q_m = dt sum_{j<m} M^j sigma sigma^T (M^j)^T, so `_window_drive`
 draws it as d normals per window times one (d, d) factor R per path with
 R^T R = Q_m, then adds every compound-Poisson jump propagated from its own
-fine step.  `_scan` then runs the recursion over the burn-in and observed
-windows together as a two-level blocked scan over blocks of about sqrt(n)
-windows (Blelloch 1990): block sums from zero, a carry loop over blocks, a
-batched fill.
+fine step.  It writes these drives straight into the rows of the scan
+buffer, and `_scan` then runs the recursion over the burn-in and observed
+windows together, in place, as a two-level blocked scan over blocks of about
+sqrt(n) windows (Blelloch 1990): block sums from zero, a carry loop over
+blocks, a batched fill.
 
 Law contract: a path has the law of stepwise Euler iteration.  The burn-in
 is whole observation windows: its duration in fine steps, rounded up to a
@@ -39,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,6 +62,9 @@ __all__ = [
 REGIME_TAGS = ("continuous", "bounded", "subweibull", "polymoment")
 
 OVERFLOW_GUARD = 1e12
+# Rows per block of ObservationSet.increment_norms_sq: a block of
+# increments stays in cache and is gone before the next is made.
+_NORM_BLOCK = 4096
 
 
 class SimulationBlowupError(RuntimeError):
@@ -144,7 +149,14 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """States X_{t_0..t_n} on the mesh delta_n; the increments derive from them."""
+    """States X_{t_0..t_n} on the mesh delta_n; the increments derive from them.
+
+    The states are stored as a read-only view (no copy; the caller's array
+    keeps its own flags, and writing to it leaves the caches stale).  The increments and their squared norms are each
+    computed on first read and cached read-only.  The norms are reduced
+    from the states block by block, so reading them makes no path-sized
+    temporary.
+    """
 
     states: np.ndarray
     delta_n: float
@@ -155,6 +167,8 @@ class ObservationSet:
             raise ValueError("states must be (n+1, d) with n >= 1")
         if not np.all(np.isfinite(states)):
             raise ValueError("states contain non-finite entries")
+        states = states.view()
+        states.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "delta_n", float(self.delta_n))
 
@@ -166,10 +180,22 @@ class ObservationSet:
     def n_obs(self) -> int:
         return self.states.shape[0] - 1
 
-    @property
+    @cached_property
     def increments(self) -> np.ndarray:
-        """dX_k = X_{t_k} - X_{t_(k-1)}, shape (n_obs, d); computed per call."""
-        return np.diff(self.states, axis=0)
+        """dX_k = X_{t_k} - X_{t_(k-1)}, shape (n_obs, d); read-only."""
+        return _read_only(np.diff(self.states, axis=0))
+
+    @cached_property
+    def increment_norms_sq(self) -> np.ndarray:
+        """||dX_k||^2, shape (n_obs,); read-only."""
+        x, n = self.states, self.n_obs
+        out = np.empty(n)
+        block = np.empty((min(n, _NORM_BLOCK), self.d))
+        for start in range(0, n, _NORM_BLOCK):
+            stop = min(start + _NORM_BLOCK, n)
+            inc = np.subtract(x[start + 1 : stop + 1], x[start:stop], out=block[: stop - start])
+            np.einsum("ij,ij->i", inc, inc, out=out[start:stop])
+        return _read_only(out)
 
     def save_csv(self, path) -> None:
         """Header records d, n, delta_n; each row is t_k then the state."""
@@ -190,6 +216,11 @@ class ObservationSet:
         if states.shape[1] != int(fields["d"]) or states.shape[0] != int(fields["n"]) + 1:
             raise ValueError(f"CSV shape {states.shape} does not match header {header!r}")
         return cls(states, delta_n)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _jump_radii(regime: LevyRegime, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -294,22 +325,25 @@ def _propagators(
 def _window_drive(
     regime: LevyRegime,
     dt: float,
-    n_win: int,
     powers: list,
     factor: Optional[np.ndarray],
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Aggregated drive of n_win windows of m = len(powers) - 1 Euler steps.
+    rows: np.ndarray,
+) -> None:
+    """Fill `rows`, shape (n_win, d), with the aggregated drive of n_win
+    windows of m = len(powers) - 1 Euler steps.
 
     Row k is sum_j M^(m-1-j) dz_{k,j}: d normals times the window factor,
-    then every jump of the window's m steps propagated from its own step.
+    written into the row, then every jump of the window's m steps propagated
+    from its own step, added in place.
     """
     m = len(powers) - 1
     d = powers[0].shape[0]
+    n_win = len(rows)
     if factor is None:
-        drive = np.zeros((n_win, d))
+        rows.fill(0.0)
     else:
-        drive = rng.standard_normal((n_win, d)) @ factor
+        np.matmul(rng.standard_normal((n_win, d)), factor, out=rows)
     jumps = _jump_draws(regime, dt, n_win * m, d, rng)
     if jumps is not None:
         counts, sizes = jumps
@@ -318,29 +352,39 @@ def _window_drive(
         window, offset = np.divmod(steps, m)
         for j in np.unique(offset):
             hit = offset == j
-            drive[window[hit]] += per_step[hit] @ powers[m - 1 - j].T
-    return drive
+            rows[window[hit]] += per_step[hit] @ powers[m - 1 - j].T
 
 
-def _scan(x: np.ndarray, drives: list, power: np.ndarray) -> np.ndarray:
-    """States x_0 = x, x_{k+1} = power x_k + drive_k over the rows of the
-    `drives` arrays in order; shape (n + 1, d) for n rows in all.
+def _block_size(n: int) -> int:
+    """Rows per block of `_scan` over n rows: ceil(sqrt(n))."""
+    return math.isqrt(max(n - 1, 0)) + 1
+
+
+def _scan_buffer(n: int, d: int) -> np.ndarray:
+    """Zeroed (nb b + 1, d) buffer for `_scan` over n rows in nb blocks of
+    b = `_block_size(n)`; rows 1..n take the drives, the rest pad the last
+    block."""
+    b = _block_size(n)
+    return np.zeros((-(-n // b) * b + 1, d))
+
+
+def _scan(x: np.ndarray, out: np.ndarray, n: int, power: np.ndarray) -> np.ndarray:
+    """States x_0 = x, x_{k+1} = power x_k + drive_k, computed in place over
+    `out` (from `_scan_buffer(n, d)`), whose rows 1..n hold the n drives;
+    returns the (n + 1, d) view of the states.
 
     Two-level blocked scan over nb blocks of b = ceil(sqrt(n)) rows:
     1. every block's end state from a zero start, all blocks at once;
     2. the start of every block, carried block to block by power^b;
     3. every state, recomputed inside all blocks at once from those starts,
        in place over its drive row.
-    About 3 sqrt(n) Python steps instead of n, in one path-sized buffer.
+    About 3 sqrt(n) Python steps instead of n, in the one path-sized buffer.
     Overflow is left to the caller's guard: states past a blow-up hold inf
     or nan.
     """
-    n, d = sum(len(drive) for drive in drives), len(x)
-    b = math.isqrt(max(n - 1, 0)) + 1
-    nb = -(-n // b)
-    out = np.zeros((nb * b + 1, d))
+    b, d = _block_size(n), len(x)
+    nb = (len(out) - 1) // b
     out[0] = x
-    np.concatenate(drives, out=out[1 : n + 1])
     u = out[1:].reshape(nb, b, d)
     pt = power.T
 
@@ -362,6 +406,18 @@ def _scan(x: np.ndarray, drives: list, power: np.ndarray) -> np.ndarray:
     return out[: n + 1]
 
 
+def _first_bad_row(states: np.ndarray) -> Optional[int]:
+    """Index of the first row with an entry outside the open overflow guard
+    (-OVERFLOW_GUARD, OVERFLOW_GUARD), NaN included; None when there is none.
+
+    One min and one max over the array decide the common case; only a
+    failure pays for the row scan.
+    """
+    if -OVERFLOW_GUARD < states.min() and states.max() < OVERFLOW_GUARD:
+        return None
+    return int(np.argmax(~np.all(np.abs(states) < OVERFLOW_GUARD, axis=1)))
+
+
 def simulate_path(
     model: DriftModel,
     regime: LevyRegime,
@@ -372,9 +428,11 @@ def simulate_path(
 
     dt = delta_n / substeps.  The substeps between two observations are
     applied as one aggregated step, whose drive `_window_drive` draws from
-    the window's law, and the states follow by one blocked scan over the
-    burn-in and observed windows; the path has the law of the stepwise
-    Euler path (module docstring: law contract).  The start is stationarized
+    the window's law into one scan buffer, and the states follow by one
+    blocked scan over the burn-in and observed windows in that buffer; the
+    returned states are a view of it, so a path costs one path-sized array
+    plus the burn-in rows.  The path has the law of the stepwise Euler path
+    (module docstring: law contract).  The start is stationarized
     by running the same dynamics from zero (or from `x0` when given; pass
     burn_in_time=0 to force an exact injected start) for the burn-in
     duration, rounded up to whole observation windows.  Raises
@@ -398,19 +456,21 @@ def simulate_path(
     if x.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
 
+    n = n_burn + cfg.n_obs
     with np.errstate(over="ignore", invalid="ignore"):
         powers, factor = _propagators(model.a0, regime.sigma, dt, m)
-        drives = [_window_drive(regime, dt, n, powers, factor, rng) for n in (n_burn, cfg.n_obs)]
-        states = _scan(x, drives, powers[m])[n_burn:]
-        del drives  # copied into the scan buffer
-        bad = ~np.all(np.abs(states) < OVERFLOW_GUARD, axis=1)
-    if n_burn and bad[0]:
+        buf = _scan_buffer(n, d)
+        _window_drive(regime, dt, powers, factor, rng, buf[1 : n_burn + 1])
+        _window_drive(regime, dt, powers, factor, rng, buf[n_burn + 1 : n + 1])
+        states = _scan(x, buf, n, powers[m])[n_burn:]
+        burn_bad = n_burn > 0 and _first_bad_row(states[:1]) is not None
+        k = _first_bad_row(states[1:])
+    if burn_bad:
         raise SimulationBlowupError(
             f"burn-in exceeded overflow guard (dt={dt:g}, "
             f"stability_margin={model.stability_margin:g})"
         )
-    if bad[1:].any():
-        k = int(np.argmax(bad[1:]))
+    if k is not None:
         raise SimulationBlowupError(
             f"state exceeded overflow guard at t={(k + 1) * cfg.delta_n:g} "
             f"(dt={dt:g}, stability_margin={model.stability_margin:g})"
@@ -418,15 +478,11 @@ def simulate_path(
     return ObservationSet(states, cfg.delta_n)
 
 
-def empirical_trunc_moment(
-    obs: ObservationSet, eta: float, increments: Optional[np.ndarray] = None
-) -> float:
-    """Mean of ||increment||^2 over increments with norm above eta;
-    `increments` is obs.increments when a caller has already taken them."""
+def empirical_trunc_moment(obs: ObservationSet, eta: float) -> float:
+    """Mean of ||increment||^2 over increments with norm above eta."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    inc = obs.increments if increments is None else increments
-    norms_sq = np.einsum("ij,ij->i", inc, inc)
+    norms_sq = obs.increment_norms_sq
     return float(np.mean(norms_sq * (np.sqrt(norms_sq) > eta)))
 
 

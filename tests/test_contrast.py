@@ -51,6 +51,54 @@ def test_build_context_no_truncation():
     np.testing.assert_allclose(ctx.c_n, x.T @ x / ctx.n, atol=1e-12)
 
 
+def _reference_statistics(obs, loc):
+    """s0, m1, c_n and n_active reduced from a fresh np.diff whose inactive
+    rows are zeroed in place, and from a copy of the active states."""
+    x_prev = obs.states[:-1]
+    inc = np.diff(obs.states, axis=0)
+    n = len(inc)
+    active = (np.sqrt(np.einsum("ij,ij->i", x_prev, x_prev)) <= loc.radius_b) & (
+        np.sqrt(np.einsum("ij,ij->i", inc, inc)) <= loc.eta
+    )
+    inc[~active] = 0.0
+    xa = x_prev[active]
+    c_n = xa.T @ xa / n
+    return float(np.vdot(inc, inc)) / n, inc.T @ x_prev / n, (c_n + c_n.T) / 2.0, int(active.sum())
+
+
+@pytest.mark.parametrize(
+    "loc, all_active",
+    [
+        (LocalizationConfig(radius_b=1e9, eta=1e9), True),
+        (LocalizationConfig(radius_b=3.5, eta=1.5), False),  # 4783 of 9000 rows active
+    ],
+    ids=["all-active", "partly-active"],
+)
+def test_build_context_is_bit_identical_and_leaves_obs_unchanged(loc, all_active):
+    _, obs = make_obs(d=20, n=9000, seed=6)  # three blocks of norms, the last one short
+    s0, m1, c_n, n_active = _reference_statistics(obs, loc)
+    states = obs.states.copy()
+    ctx = build_context(obs, loc)
+    assert (ctx.n_active == ctx.n) is all_active and ctx.n_active > 0
+    assert ctx.s0 == s0 and ctx.n_active == n_active
+    assert np.array_equal(ctx.m1, m1) and np.array_equal(ctx.c_n, c_n)
+
+    assert np.array_equal(obs.states, states)
+    assert ("increments" in vars(obs)) is all_active  # only an all-active path caches them
+    inc = obs.increments
+    before = inc.copy()
+    again = build_context(obs, loc)
+    assert again.s0 == s0 and np.array_equal(again.m1, m1) and np.array_equal(again.c_n, c_n)
+    assert obs.increments is inc and np.array_equal(inc, before)
+    assert np.array_equal(inc, np.diff(states, axis=0))
+    norms_sq = obs.increment_norms_sq
+    assert obs.increment_norms_sq is norms_sq
+    assert np.array_equal(norms_sq, np.einsum("ij,ij->i", inc, inc))
+    for cached in (inc, norms_sq):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+
 def test_build_context_total_truncation_errors():
     _, obs = make_obs()
     with pytest.raises(DegenerateLocalizationError):

@@ -411,6 +411,22 @@ def test_calibration_pilots_keep_no_path(tmp_path):
     assert peaks[1] - peaks[0] < path_bytes, (peaks, path_bytes)
 
 
+def test_replicate_data_makes_each_path_array_once():
+    # simulate -> reduce holds the scan buffer (the states), the drive's
+    # normals, then the cached increments; every reader shares them
+    cfg = experiment.regime_preset("continuous")
+    t = 2000.0
+    path_bytes = (int(round(t / cfg.delta_n)) + 1) * cfg.d * 8
+    experiment._replicate_data(cfg, t, 1, trunc_moment=True)  # one-time allocations
+    tracemalloc.start()
+    try:
+        experiment._replicate_data(cfg, t, 2, trunc_moment=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path_bytes, peak / path_bytes
+
+
 def test_manifest_records_risk_curve_with_null_for_divergence(tmp_path, monkeypatch):
     cfg = calibrated_config(tmp_path)
     calls = _record_solves(monkeypatch, fail_at=(0,))

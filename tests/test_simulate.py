@@ -16,7 +16,13 @@ from oudrift.simulate import (
     empirical_trunc_moment,
     simulate_path,
 )
-from oudrift.simulate import _propagators, _sample_increments, _window_drive
+from oudrift.simulate import (
+    OVERFLOW_GUARD,
+    _first_bad_row,
+    _propagators,
+    _sample_increments,
+    _window_drive,
+)
 
 
 def test_regime_validation():
@@ -269,8 +275,10 @@ def test_window_factor_matches_stepwise_covariance(sigma, m, n_fine):
     powers, factor = _propagators(model.a0, sigma, dt, m)
     continuous = LevyRegime(tag="continuous")
     n_win = n_fine // m
-    rows = [_window_drive(continuous, dt, n_win, powers, factor, _UnitNormals(i)) for i in range(4)]
-    factor = np.array([r[-1] for r in rows])
+    rows = np.full((4, n_win, 4), np.nan)
+    for i in range(4):
+        _window_drive(continuous, dt, powers, factor, _UnitNormals(i), rows[i])
+    factor = rows[:, -1]
     cov = _window_cov(np.eye(4) - model.a0 * dt, sigma, dt, m)
     assert np.linalg.norm(factor.T @ factor - cov) <= 1e-12 * np.linalg.norm(cov)
 
@@ -328,6 +336,27 @@ def test_continuous_d20_path_never_holds_the_fine_increments():
     assert peak < fine_bytes
 
 
+G = OVERFLOW_GUARD
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.nextafter(G, 0), np.nextafter(-G, 0), G, -G, np.nan, np.inf, -np.inf],
+    ids=["inside+G", "inside-G", "+G", "-G", "nan", "+inf", "-inf"],
+)
+@pytest.mark.parametrize("row", [0, 3])
+@pytest.mark.parametrize("later_inf", [False, True])
+def test_first_bad_row_matches_row_scan(value, row, later_inf):
+    states = np.zeros((6, 3))
+    states[row, 1] = value
+    if later_inf:
+        states[5, 2] = np.inf
+    bad = ~np.all(np.abs(states) < G, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _first_bad_row(states) == (int(np.argmax(bad)) if bad.any() else None)
+
+
 def test_simulation_blowup_raises():
     model = generate_drift(d=3, r=0, s=0, seed=0, spectral_floor=1.0)  # a0 = I
     regime = LevyRegime(tag="continuous", sigma=np.eye(3))
@@ -371,6 +400,16 @@ def test_csv_round_trip_exact(tmp_path):
     assert loaded.delta_n == obs.delta_n
     np.testing.assert_array_equal(loaded.states, obs.states)
     np.testing.assert_array_equal(loaded.increments, obs.increments)
+
+
+def test_observation_set_states_are_a_read_only_view():
+    states = np.zeros((5, 2))
+    obs = ObservationSet(states, 0.1)
+    assert np.shares_memory(obs.states, states)
+    with pytest.raises(ValueError):
+        obs.states[1, 0] = 1.0
+    states[1, 0] = 1.0  # the caller's array keeps its own flags
+    assert obs.states[1, 0] == 1.0
 
 
 @pytest.mark.parametrize(
