@@ -32,6 +32,7 @@ from .simulate import (
     ObservationSet,
     PathConfig,
     derive_seed,
+    row_blocks,
     simulate_path,
 )
 
@@ -104,40 +105,40 @@ class ContrastContext:
 def build_context(obs: ObservationSet, loc: LocalizationConfig) -> ContrastContext:
     """Reduce a path to the contrast's sufficient statistics (module docstring).
 
-    Writes to nothing of obs.  When every row is active, the states are
-    read in place and the increments are obs's cached ones (made here if
-    no one has read them), so they live as long as obs; a fresh difference
-    freed here instead raised the peak RSS of continuous-d20 benchmark
-    runs by one path on half of the seeds (glibc malloc).  Otherwise one
-    path-sized temporary is alive at a time: the active states for c_n,
-    then a fresh difference of the states whose inactive rows are zeroed."""
-    x_prev = obs.states[:-1]
-    n = obs.n_obs
+    s0 and n_active come from obs's cached increment norms.  c_n and m1 are
+    summed in one pass over the states in blocks (`row_blocks`): each
+    block's states with inactive rows zeroed, not dropped, and its
+    increments.  Writes to nothing of obs and makes no path-sized array."""
+    x, n, d = obs.states, obs.n_obs, obs.d
+    x_prev = x[:-1]
+    norms_sq = obs.increment_norms_sq
     active = (np.sqrt(np.einsum("ij,ij->i", x_prev, x_prev)) <= loc.radius_b) & (
-        np.sqrt(obs.increment_norms_sq) <= loc.eta
+        np.sqrt(norms_sq) <= loc.eta
     )
-    n_active = int(active.sum())
+    n_active = int(np.count_nonzero(active))
     if n_active == 0:
         raise DegenerateLocalizationError(
             f"no observation survives radius_b={loc.radius_b:g}, eta={loc.eta:g}"
         )
-    all_active = n_active == n
-    xa = x_prev if all_active else x_prev[active]
-    c_n = xa.T @ xa / n
-    del xa
-    if all_active:
-        inc = obs.increments
-    else:
-        inc = np.diff(obs.states, axis=0)
-        inc[~active] = 0.0
+    blocks = row_blocks(n, d)
+    xa = np.empty((blocks[0][1], d))
+    inc = np.empty_like(xa)
+    c_n = np.zeros((d, d))
+    m1 = np.zeros((d, d))
+    for start, stop in blocks:
+        k = stop - start
+        xb = np.multiply(x_prev[start:stop], active[start:stop, None], out=xa[:k])
+        db = np.subtract(x[start + 1 : stop + 1], x_prev[start:stop], out=inc[:k])
+        c_n += xb.T @ xb
+        m1 += db.T @ xb
     return ContrastContext(
-        d=obs.d,
+        d=d,
         delta_n=obs.delta_n,
         n=n,
         n_active=n_active,
-        s0=float(np.vdot(inc, inc)) / n,
-        m1=inc.T @ x_prev / n,
-        c_n=(c_n + c_n.T) / 2.0,
+        s0=float(np.sum(norms_sq, where=active)) / n,
+        m1=m1 / n,
+        c_n=(c_n + c_n.T) / (2.0 * n),
     )
 
 

@@ -247,7 +247,8 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int, trunc_moment: bo
     `trunc_moment`) and contrast context of the replicate (or calibration
     pilot) with this seed at horizon t.
 
-    Every reader shares the path's cached increments and their norms.
+    Every reader shares the path's cached increment norms; none makes the
+    increments.
     Calls the other layers through this module's globals, so a tracer that
     wraps them sees every call.
     """

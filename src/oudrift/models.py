@@ -158,6 +158,8 @@ def generate_drift(
             f"no stable drift after {max_attempts} attempts (last shift {shift:.3g})"
         )
 
+    # l0 + s0 below equals the last candidate a0 bit for bit: s0's diagonal
+    # is zero before the shift, so both add shift to l0's diagonal once
     if shift > 0.0:
         s0 = s0 + shift * np.eye(d)
     a0 = l0 + s0
@@ -171,7 +173,7 @@ def generate_drift(
         s0=s0,
         a0=a0,
         tangent=tangent,
-        stability_margin=float(np.min(np.linalg.eigvals(a0).real)),
+        stability_margin=margin,
         seed=seed,
     )
 

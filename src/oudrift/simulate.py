@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -62,9 +63,16 @@ __all__ = [
 REGIME_TAGS = ("continuous", "bounded", "subweibull", "polymoment")
 
 OVERFLOW_GUARD = 1e12
-# Rows per block of ObservationSet.increment_norms_sq: a block of
-# increments stays in cache and is gone before the next is made.
-_NORM_BLOCK = 4096
+# Bytes per block of the block-wise passes over a path (the finiteness scan,
+# the increment norms, `build_context`): small next to a path, so a pass
+# makes no path-sized temporary, and large enough to keep Python's
+# per-block cost small.
+_BLOCK_BYTES = 1 << 18
+# Bytes per block of `_window_drive`'s normals.  Blocks of at least half of
+# this multiply bit for bit like one whole matmul on the OpenBLAS the tests
+# pin (tests/test_simulate.py); small ones fall to its small-matrix kernel,
+# which rounds differently.
+_DRIVE_BLOCK_BYTES = 1 << 20
 
 
 class SimulationBlowupError(RuntimeError):
@@ -152,9 +160,10 @@ class ObservationSet:
     """States X_{t_0..t_n} on the mesh delta_n; the increments derive from them.
 
     The states are stored as a read-only view (no copy; the caller's array
-    keeps its own flags, and writing to it leaves the caches stale).  The increments and their squared norms are each
-    computed on first read and cached read-only.  The norms are reduced
-    from the states block by block, so reading them makes no path-sized
+    keeps its own flags, and writing to it leaves the caches stale).  The
+    increments and their squared norms are each computed on first read and
+    cached read-only.  The finiteness check and the norms run over the
+    states block by block (`row_blocks`), so neither makes a path-sized
     temporary.
     """
 
@@ -165,7 +174,8 @@ class ObservationSet:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or states.shape[0] < 2:
             raise ValueError("states must be (n+1, d) with n >= 1")
-        if not np.all(np.isfinite(states)):
+        blocks = row_blocks(*states.shape)
+        if not all(np.isfinite(states[a:b]).all() for a, b in blocks):
             raise ValueError("states contain non-finite entries")
         states = states.view()
         states.flags.writeable = False
@@ -189,10 +199,10 @@ class ObservationSet:
     def increment_norms_sq(self) -> np.ndarray:
         """||dX_k||^2, shape (n_obs,); read-only."""
         x, n = self.states, self.n_obs
+        blocks = row_blocks(n, self.d)
         out = np.empty(n)
-        block = np.empty((min(n, _NORM_BLOCK), self.d))
-        for start in range(0, n, _NORM_BLOCK):
-            stop = min(start + _NORM_BLOCK, n)
+        block = np.empty((blocks[0][1], self.d))
+        for start, stop in blocks:
             inc = np.subtract(x[start + 1 : stop + 1], x[start:stop], out=block[: stop - start])
             np.einsum("ij,ij->i", inc, inc, out=out[start:stop])
         return _read_only(out)
@@ -221,6 +231,17 @@ class ObservationSet:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def row_blocks(n: int, d: int, nbytes: int = _BLOCK_BYTES) -> list[tuple[int, int]]:
+    """Bounds (start, stop) of the fewest blocks of rows of d float64 entries,
+    at most nbytes each, that cover n rows, as even as possible: the first
+    block is the largest, and each holds at least half of the rows that fit
+    in nbytes (rounded down) unless it is the only one."""
+    rows = max(1, nbytes // (8 * max(d, 1)))
+    k = max(-(-n // rows), 1)
+    bounds = [-(-n * i // k) for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _jump_radii(regime: LevyRegime, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -322,6 +343,17 @@ def _propagators(
     return powers, np.linalg.qr(stack, mode="r")
 
 
+def _gaussian_drive(factor: np.ndarray, rng: np.random.Generator, rows: np.ndarray) -> None:
+    """Fill `rows` with (len(rows), d) normals times `factor`: the normals of
+    one whole draw, drawn block by block into one scratch of at most
+    _DRIVE_BLOCK_BYTES (freed on return), each block multiplied straight
+    into its rows."""
+    blocks = row_blocks(*rows.shape, _DRIVE_BLOCK_BYTES)
+    normals = np.empty((blocks[0][1], rows.shape[1]))
+    for start, stop in blocks:
+        np.matmul(rng.standard_normal(out=normals[: stop - start]), factor, out=rows[start:stop])
+
+
 def _window_drive(
     regime: LevyRegime,
     dt: float,
@@ -343,7 +375,7 @@ def _window_drive(
     if factor is None:
         rows.fill(0.0)
     else:
-        np.matmul(rng.standard_normal((n_win, d)), factor, out=rows)
+        _gaussian_drive(factor, rng, rows)
     jumps = _jump_draws(regime, dt, n_win * m, d, rng)
     if jumps is not None:
         counts, sizes = jumps
@@ -363,9 +395,20 @@ def _block_size(n: int) -> int:
 def _scan_buffer(n: int, d: int) -> np.ndarray:
     """Zeroed (nb b + 1, d) buffer for `_scan` over n rows in nb blocks of
     b = `_block_size(n)`; rows 1..n take the drives, the rest pad the last
-    block."""
+    block.
+
+    The buffer is an anonymous memory map, zero-filled by the OS and
+    unmapped when the last view of it (the path's states) is dropped.  Taken
+    from the malloc heap instead, a dropped path leaves a path-sized hole
+    there that later small allocations split, so the heap grows by a path
+    for the next one and a sweep's peak RSS steps up by a path.  The pages
+    are faulted in when mapped (MAP_POPULATE, where the OS has it), which
+    is about twice as fast as faulting them in one by one at first write.
+    """
     b = _block_size(n)
-    return np.zeros((-(-n // b) * b + 1, d))
+    rows = -(-n // b) * b + 1
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, rows * d * 8, flags=flags), dtype=float).reshape(rows, d)
 
 
 def _scan(x: np.ndarray, out: np.ndarray, n: int, power: np.ndarray) -> np.ndarray:
@@ -431,9 +474,10 @@ def simulate_path(
     the window's law into one scan buffer, and the states follow by one
     blocked scan over the burn-in and observed windows in that buffer; the
     returned states are a view of it, so a path costs one path-sized array
-    plus the burn-in rows.  The path has the law of the stepwise Euler path
-    (module docstring: law contract).  The start is stationarized
-    by running the same dynamics from zero (or from `x0` when given; pass
+    (mapped from the OS, `_scan_buffer`) plus the burn-in rows, and the
+    drive's normals one block.  The path has the law of the stepwise Euler
+    path (module docstring: law contract).  The start is stationarized by
+    running the same dynamics from zero (or from `x0` when given; pass
     burn_in_time=0 to force an exact injected start) for the burn-in
     duration, rounded up to whole observation windows.  Raises
     SimulationBlowupError when the state leaves the overflow guard by the

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -393,38 +392,50 @@ def test_calibration_diverged_pilot_resumes_from_last_success(tmp_path, monkeypa
     assert calib.risk_multiplier == min(scored, key=lambda e: e["risk"])["multiplier"]
 
 
-def test_calibration_pilots_keep_no_path(tmp_path):
+def test_calibration_pilots_keep_no_path(tmp_path, peak_bytes):
     # A pilot keeps its drift and its reduced context, never its path, so
     # eight pilots peak less than one path's bytes above two.
     t = 400.0
     cfg = calibrated_config(tmp_path, t_sweep=(t,), risk_multipliers=(1.0,))
     path_bytes = (int(round(t / cfg.delta_n)) + 1) * cfg.d * 8
     experiment.calibrate_tuning(replace(cfg, calibration_reps=1))  # one-time allocations
-    peaks = []
-    for reps in (2, 8):
-        tracemalloc.start()
-        try:
-            experiment.calibrate_tuning(replace(cfg, calibration_reps=reps))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [
+        peak_bytes(experiment.calibrate_tuning, replace(cfg, calibration_reps=reps))[0]
+        for reps in (2, 8)
+    ]
     assert peaks[1] - peaks[0] < path_bytes, (peaks, path_bytes)
 
 
-def test_replicate_data_makes_each_path_array_once():
-    # simulate -> reduce holds the scan buffer (the states), the drive's
-    # normals, then the cached increments; every reader shares them
-    cfg = experiment.regime_preset("continuous")
-    t = 2000.0
+def _replicate_data_peak(peak_bytes, cfg, t):
+    """Peak of one replicate's `_replicate_data`, in (n+1, d) float64 path
+    arrays, and its context."""
     path_bytes = (int(round(t / cfg.delta_n)) + 1) * cfg.d * 8
     experiment._replicate_data(cfg, t, 1, trunc_moment=True)  # one-time allocations
-    tracemalloc.start()
-    try:
-        experiment._replicate_data(cfg, t, 2, trunc_moment=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * path_bytes, peak / path_bytes
+    peak, data = peak_bytes(experiment._replicate_data, cfg, t, 2, trunc_moment=True)
+    return peak / path_bytes, data[-1]
+
+
+def test_replicate_data_makes_each_path_array_once(peak_bytes):
+    # simulate -> reduce holds the scan buffer (the states) and block-sized
+    # scratch: the drive's normals, then the reduction's blocks
+    peak, _ = _replicate_data_peak(peak_bytes, experiment.regime_preset("continuous"), 2000.0)
+    assert peak < 1.5, peak
+
+
+def test_replicate_data_peak_on_a_partly_active_polymoment_path(peak_bytes):
+    # at d=60 a block of a fixed row count can hold the whole 2501-row path;
+    # blocks sized in bytes, and inactive rows masked rather than dropped,
+    # keep the reduction free of path copies.  The bound is the peak before
+    # the block-wise drive and reduction (2.54 path arrays).
+    base = experiment.regime_preset("polymoment")
+    d = 60
+    cfg = replace(
+        base, regime=replace(base.regime, sigma=0.5 * np.eye(d)), d=d, r=2, s=d,
+        localization=LocalizationRule(radius_mult=1.0, eta_mult=4.0),
+    )
+    peak, ctx = _replicate_data_peak(peak_bytes, cfg, 250.0)
+    assert 0 < ctx.n_active < ctx.n
+    assert peak < 2.54, peak
 
 
 def test_manifest_records_risk_curve_with_null_for_divergence(tmp_path, monkeypatch):

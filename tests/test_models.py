@@ -32,6 +32,14 @@ def test_generate_structure_and_stability():
     np.testing.assert_array_equal(model.a0, model.l0 + model.s0)
 
 
+@pytest.mark.parametrize("d", [6, 10, 20, 60])
+def test_generate_margin_is_the_final_drifts_exactly(d):
+    # the margin is taken from the stability loop's last candidate, which is a0
+    for seed in range(5):
+        model = generate_drift(d=d, r=2, s=d, seed=seed)
+        assert model.stability_margin == float(np.min(np.linalg.eigvals(model.a0).real))
+
+
 def test_generate_full_rank_full_support_accepted():
     model = generate_drift(d=3, r=3, s=9, seed=3)
     assert numerical_rank(model.l0) <= 3

@@ -1,6 +1,7 @@
 import math
-import tracemalloc
+import mmap
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from oudrift.simulate import (
     _propagators,
     _sample_increments,
     _window_drive,
+    row_blocks,
 )
 
 
@@ -258,8 +260,9 @@ class _UnitNormals:
     def __init__(self, i):
         self.i = i
 
-    def standard_normal(self, shape):
-        out = np.zeros(shape)
+    def standard_normal(self, size=None, out=None):
+        out = np.zeros(size) if out is None else out
+        out[...] = 0.0
         out[..., self.i] = 1.0
         return out
 
@@ -281,6 +284,37 @@ def test_window_factor_matches_stepwise_covariance(sigma, m, n_fine):
     factor = rows[:, -1]
     cov = _window_cov(np.eye(4) - model.a0 * dt, sigma, dt, m)
     assert np.linalg.norm(factor.T @ factor - cov) <= 1e-12 * np.linalg.norm(cov)
+
+
+@pytest.mark.parametrize(
+    "d, sigma_scale, delta_n, n_win",
+    [(20, 1.0, 0.05, 40000), (60, 0.5, 0.1, 2500)],
+    ids=["continuous-d20", "polymoment-d60"],
+)
+def test_window_drive_is_one_whole_draw_times_the_factor(d, sigma_scale, delta_n, n_win):
+    # the drive draws and multiplies its normals block by block (7 and 2
+    # blocks here); the rows must equal one whole draw times the factor, bit
+    # for bit, or the paths of the benchmark workloads would change
+    model = generate_drift(d=d, r=2, s=d, seed=3)
+    dt = delta_n / 10
+    powers, factor = _propagators(model.a0, sigma_scale * np.eye(d), dt, 10)
+    rows = np.full((n_win, d), np.nan)
+    _window_drive(LevyRegime(tag="continuous"), dt, powers, factor, np.random.default_rng(9), rows)
+    whole = np.random.default_rng(9).standard_normal((n_win, d)) @ factor
+    assert np.array_equal(rows, whole)
+
+
+@pytest.mark.parametrize(
+    "n, rows", [(0, 5), (1, 5), (5, 5), (6, 5), (5, 4), (11, 5), (40000, 6553), (2500, 2184)]
+)
+def test_row_blocks_cover_the_rows_in_even_blocks(n, rows):
+    blocks = row_blocks(n, 2, nbytes=16 * rows)  # `rows` rows of width 2 per block
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
+    sizes = [b - a for a, b in blocks]
+    assert sizes[0] == max(sizes) <= rows
+    assert len(blocks) == max(-(-n // rows), 1)
+    assert len(blocks) == 1 or min(sizes) >= rows // 2
 
 
 @pytest.mark.parametrize("regime", REGIMES_D4[:2], ids=_regime_id)
@@ -322,18 +356,26 @@ def test_blowup_mid_block_reports_stepwise_first_crossing():
             simulate_path(model, regime, cfg, x0=x0)
 
 
-def test_continuous_d20_path_never_holds_the_fine_increments():
+def test_continuous_d20_path_never_holds_the_fine_increments(peak_bytes):
     model = generate_drift(d=20, r=2, s=20, seed=3)
     regime = LevyRegime(tag="continuous", sigma=np.eye(20))
     cfg = PathConfig(delta_n=0.05, n_obs=40000, substeps=10, seed=7)
     fine_bytes = cfg.n_obs * cfg.substeps * model.d * 8  # 61 MiB
-    tracemalloc.start()
-    try:
-        simulate_path(model, regime, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(simulate_path, model, regime, cfg)
     assert peak < fine_bytes
+
+
+def test_scan_buffer_is_a_map_freed_with_the_path():
+    model = generate_drift(d=3, r=1, s=2, seed=0)
+    regime = LevyRegime(tag="continuous", sigma=np.eye(3))
+    obs = simulate_path(model, regime, PathConfig(delta_n=0.1, n_obs=50, seed=1))
+    root = obs.states
+    while isinstance(root, np.ndarray):
+        root = root.base
+    assert isinstance(root.obj, mmap.mmap)
+    ref = weakref.ref(root)
+    del obs, root
+    assert ref() is None  # the map is closed: its pages went back to the OS
 
 
 G = OVERFLOW_GUARD
@@ -414,8 +456,13 @@ def test_observation_set_states_are_a_read_only_view():
 
 @pytest.mark.parametrize(
     "states",
-    [np.arange(3.0), np.ones((1, 2)), np.array([[0.0, 1.0], [np.nan, 0.0]])],
-    ids=["1-d", "one-row", "nan"],
+    [
+        np.arange(3.0),
+        np.ones((1, 2)),
+        np.array([[0.0, 1.0], [np.nan, 0.0]]),
+        np.vstack([np.zeros((40000, 2)), [[0.0, np.inf]]]),  # in the last of 3 blocks
+    ],
+    ids=["1-d", "one-row", "nan", "inf-in-last-block"],
 )
 def test_observation_set_rejects_malformed_states(states):
     with pytest.raises(ValueError):
