@@ -329,7 +329,8 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     form a continuation path: each pilot's solve at a multiplier starts from
     that pilot's most recent solution (the first from cfg.solver's own
     start), which cuts the solver iterations.  The warm starts stay inside
-    calibration; replicates solve with cfg.solver.
+    calibration; replicates start from the least-squares drift instead
+    (`run_single`).
 
     A pilot whose generation, simulation or localization fails is logged and
     dropped (`failed_pilots`); a multiplier whose solve diverges on some pilot
@@ -409,8 +410,34 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     )
 
 
+def _least_squares_start(ctx, solver: SolverConfig) -> SolverConfig:
+    """`solver` with the replicate's solve started from (0, A_LS), A_LS the
+    contrast's unpenalized minimizer: it solves the normal equations
+    a c_n = -m1 / delta_n.  FISTA's step count grows with the distance from
+    the start to the solution, and A_LS is near it.
+
+    Returns `solver` itself when it sets a warm start, when c_n is singular
+    or when A_LS is not finite: a replicate never fails for its start.
+    """
+    if solver.l_init is not None or solver.s_init is not None:
+        return solver
+    try:  # c_n is symmetric, so a = -(c_n^{-1} m1^T)^T / delta_n
+        a_ls = -np.linalg.solve(ctx.c_n, ctx.m1.T).T / ctx.delta_n
+    except np.linalg.LinAlgError:
+        return solver
+    if not np.all(np.isfinite(a_ls)):
+        return solver
+    return replace(solver, l_init=np.zeros_like(a_ls), s_init=a_ls)
+
+
 def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) -> dict:
-    """One replicate: generate, simulate, estimate, certify; returns a row."""
+    """One replicate: generate, simulate, estimate, certify; returns a row.
+
+    Unless cfg.solver sets a warm start, the solve starts from the
+    least-squares drift in the sparse block and zero in the low-rank block
+    (`_least_squares_start`); it falls back to cfg.solver's zero start when
+    c_n is singular or that drift is not finite.
+    """
     start = time.perf_counter()
     seed = derive_seed(cfg.seed_base, "row", t, rep)
     row = {  # the identity columns, which a failed row also fills
@@ -428,7 +455,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
     cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
     try:
         model, obs, loc, moment, ctx = _replicate_data(cfg, t, seed, trunc_moment=True)
-        result = solve(ctx, lambdas, cfg.solver)
+        result = solve(ctx, lambdas, _least_squares_start(ctx, cfg.solver))
     except _REPLICATE_ERRORS as exc:
         message = _error_message(exc)
         return {**dict.fromkeys(RESULT_COLUMNS, ""), **row, "failed": 1, "error": message}

@@ -134,15 +134,16 @@ def generate_drift(
         q2 = np.zeros((d, 0))
         l0 = np.zeros((d, d))
 
-    off_positions = [(i, j) for i in range(d) for j in range(d) if i != j]
-    n_off = min(s, len(off_positions))
+    # off-diagonal position k, in row-major order, is row i = k // (d - 1)
+    # and column j' = k % (d - 1), skipping the diagonal: j = j' + (j' >= i)
+    n_off = min(s, d * (d - 1))
     s0 = np.zeros((d, d))
     if n_off > 0:
-        chosen = rng.choice(len(off_positions), size=n_off, replace=False)
+        chosen = rng.choice(d * (d - 1), size=n_off, replace=False)
         lo, hi = sparse_magnitude
         for idx in chosen:
-            i, j = off_positions[idx]
-            s0[i, j] = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
+            i, j = divmod(int(idx), d - 1)
+            s0[i, j + (j >= i)] = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
 
     base = l0 + s0
     min_real = float(np.min(np.linalg.eigvals(base).real)) if d > 0 else 0.0

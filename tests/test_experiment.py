@@ -8,6 +8,7 @@ import pytest
 
 import oudrift.cli as cli
 import oudrift.experiment as experiment
+from oudrift.contrast import ContrastContext
 from oudrift.experiment import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -362,10 +363,75 @@ def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, mon
             assert start.l_init is prev.l_hat and start.s_init is prev.s_hat
             assert replace(start, l_init=l_init, s_init=None) == cfg.solver
 
-    # replicates solve with the configured solver itself, never with a warm start
+    # replicates never start from a pilot's solution: a configured warm start
+    # is used as it is, otherwise the solve starts from (0, A_LS)
     del calls[:]
     experiment.run_single(cfg, calib, 20.0, 0)
-    assert len(calls) == 1 and calls[0][1] is cfg.solver
+    assert len(calls) == 1
+    ctx, start, _ = calls[0]
+    if l_init is not None:
+        assert start is cfg.solver
+        return
+    assert np.array_equal(start.l_init, np.zeros((cfg.d, cfg.d)))
+    a_ls = -ctx.m1 @ np.linalg.inv(ctx.c_n) / ctx.delta_n
+    np.testing.assert_allclose(start.s_init, a_ls, rtol=1e-10, atol=0)
+    assert replace(start, l_init=None, s_init=None) == cfg.solver
+
+
+@pytest.mark.parametrize("preset", ["continuous", "polymoment"])
+def test_least_squares_start_solves_the_normal_equations(preset):
+    cfg = regime_preset(preset)
+    _, _, _, _, ctx = experiment._replicate_data(cfg, 250.0, 3)
+    start = experiment._least_squares_start(ctx, cfg.solver)
+    assert np.array_equal(start.l_init, np.zeros((cfg.d, cfg.d)))
+    rhs = ctx.m1 / ctx.delta_n  # A_LS c_n = -rhs, to 1e-12 of rhs's largest entry
+    assert np.max(np.abs(start.s_init @ ctx.c_n + rhs)) <= 1e-12 * np.max(np.abs(rhs))
+    assert replace(start, l_init=None, s_init=None) == cfg.solver
+
+
+@pytest.mark.parametrize(
+    "c_n",
+    [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1e-310])],
+    ids=["singular", "overflowing"],
+)
+def test_least_squares_start_falls_back_to_the_configured_solver(c_n):
+    m1 = np.array([[0.0, 0.2, -0.5], [0.1, -0.3, 0.4], [0.0, 0.0, 2.0]])
+    ctx = ContrastContext(d=3, delta_n=0.1, n=10, n_active=10, s0=1.0, m1=m1, c_n=c_n)
+    solver = SolverConfig(max_iters=200)
+    assert experiment._least_squares_start(ctx, solver) is solver
+    result = experiment.solve(ctx, (0.01, 0.01), solver)
+    assert result.iterations >= 1 and np.all(np.isfinite(result.a_hat))
+
+
+@pytest.mark.parametrize("field_name", ["l_init", "s_init"])
+def test_least_squares_start_keeps_a_configured_warm_start(field_name):
+    cfg = regime_preset("bounded")
+    _, _, _, _, ctx = experiment._replicate_data(cfg, 100.0, 3)
+    solver = replace(cfg.solver, **{field_name: np.full((cfg.d, cfg.d), 0.01)})
+    assert experiment._least_squares_start(ctx, solver) is solver
+
+
+def test_least_squares_start_takes_fewer_iterations_and_lands_no_farther():
+    # polymoment at d=20: the least-squares start cuts a replicate's solver
+    # steps at the calibrated penalty levels; a tol=1e-14 solve is the optimum
+    base = regime_preset("polymoment")
+    d, t = 20, 250.0
+    cfg = replace(
+        base, regime=replace(base.regime, sigma=0.5 * np.eye(d)), d=d, r=2, s=d,
+        t_sweep=(t,), calibration_reps=4, seed_base=2,
+    )
+    lambdas = experiment.tune_lambdas(d, t, experiment.calibrate_tuning(cfg).solver_tuning)
+    iterations = {"zero": 0, "ls": 0}
+    dist = {"zero": [], "ls": []}
+    for rep in range(8):
+        _, _, _, _, ctx = experiment._replicate_data(cfg, t, 100 + rep)
+        optimum = experiment.solve(ctx, lambdas, SolverConfig(max_iters=100000, tol=1e-14)).a_hat
+        for key, start in (("zero", cfg.solver), ("ls", experiment._least_squares_start(ctx, cfg.solver))):
+            result = experiment.solve(ctx, lambdas, start)
+            iterations[key] += result.iterations
+            dist[key].append(np.linalg.norm(result.a_hat - optimum))
+    assert iterations["ls"] < iterations["zero"], iterations
+    assert np.median(dist["ls"]) <= np.median(dist["zero"]), dist
 
 
 def test_calibration_diverged_pilot_resumes_from_last_success(tmp_path, monkeypatch):

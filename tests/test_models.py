@@ -40,6 +40,36 @@ def test_generate_margin_is_the_final_drifts_exactly(d):
         assert model.stability_margin == float(np.min(np.linalg.eigvals(model.a0).real))
 
 
+def _sparse_offdiag_by_enumeration(d, r, s, seed, sparse_magnitude=(0.3, 1.0)):
+    """generate_drift's sparse draws replayed on the list of off-diagonal
+    positions: the reference for its index arithmetic."""
+    rng = np.random.default_rng(seed)
+    if r > 0:  # the low-rank part's draws come first
+        rng.standard_normal((d, r))
+        rng.standard_normal((d, r))
+        rng.uniform(0.5, 1.5, size=r)
+    off_positions = [(i, j) for i in range(d) for j in range(d) if i != j]
+    n_off = min(s, len(off_positions))
+    out = np.zeros((d, d))
+    if n_off > 0:
+        lo, hi = sparse_magnitude
+        for idx in rng.choice(len(off_positions), size=n_off, replace=False):
+            i, j = off_positions[idx]
+            out[i, j] = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, r, s, seed",
+    [(1, 0, 1, 0), (2, 0, 2, 1), (4, 1, 12, 5), (5, 1, 3, 7), (20, 2, 20, 3), (60, 2, 60, 11)],
+)
+def test_generate_sparse_positions_match_the_enumeration(d, r, s, seed):
+    model = generate_drift(d=d, r=r, s=s, seed=seed)
+    off = model.s0.copy()
+    np.fill_diagonal(off, 0.0)
+    assert np.array_equal(off, _sparse_offdiag_by_enumeration(d, r, s, seed))
+
+
 def test_generate_full_rank_full_support_accepted():
     model = generate_drift(d=3, r=3, s=9, seed=3)
     assert numerical_rank(model.l0) <= 3
