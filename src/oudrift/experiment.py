@@ -414,18 +414,33 @@ def _least_squares_start(ctx, solver: SolverConfig) -> SolverConfig:
     """`solver` with the replicate's solve started from (0, A_LS), A_LS the
     contrast's unpenalized minimizer: it solves the normal equations
     a c_n = -m1 / delta_n.  FISTA's step count grows with the distance from
-    the start to the solution, and A_LS is near it.
+    the start to the solution, and A_LS is near it when its error is small.
 
-    Returns `solver` itself when it sets a warm start, when c_n is singular
-    or when A_LS is not finite: a replicate never fails for its start.
+    That error is estimated as s0 tr(c_n^{-1}) / (n delta_n^2): the noise
+    part of A_LS is -(sum_k xi_k x_k^T) c_n^{-1} / (n delta_n), whose
+    expected squared norm is tr(Sigma) tr(c_n^{-1}) / (n delta_n), and
+    s0 ~ delta_n tr(Sigma).  A_LS is kept only when that estimate is below
+    half of ||A_LS||_F^2, that is when A_LS is estimated nearer the true
+    drift than zero is.  Short horizons and rank-deficient c_n (fewer
+    active rows than d) fail this test.
+
+    Returns `solver` itself when it sets a warm start, when c_n is
+    numerically singular or when A_LS fails the test above (non-finite
+    values included): a replicate never fails for its start.
     """
     if solver.l_init is not None or solver.s_init is not None:
         return solver
-    try:  # c_n is symmetric, so a = -(c_n^{-1} m1^T)^T / delta_n
-        a_ls = -np.linalg.solve(ctx.c_n, ctx.m1.T).T / ctx.delta_n
+    c_n, dn = ctx.c_n, ctx.delta_n
+    try:
+        eigs = np.linalg.eigvalsh(c_n)
+        if not eigs[0] > ctx.d * np.finfo(float).eps * eigs[-1]:
+            return solver
+        # c_n is symmetric, so a = -(c_n^{-1} m1^T)^T / delta_n
+        a_ls = -np.linalg.solve(c_n, ctx.m1.T).T / dn
     except np.linalg.LinAlgError:
         return solver
-    if not np.all(np.isfinite(a_ls)):
+    error_sq = ctx.s0 * float(np.sum(1.0 / eigs)) / (ctx.n * dn * dn)
+    if not error_sq < 0.5 * float(np.vdot(a_ls, a_ls)):
         return solver
     return replace(solver, l_init=np.zeros_like(a_ls), s_init=a_ls)
 
@@ -436,7 +451,8 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
     Unless cfg.solver sets a warm start, the solve starts from the
     least-squares drift in the sparse block and zero in the low-rank block
     (`_least_squares_start`); it falls back to cfg.solver's zero start when
-    c_n is singular or that drift is not finite.
+    c_n is numerically singular or that drift's estimated error is not
+    below half its squared norm.
     """
     start = time.perf_counter()
     seed = derive_seed(cfg.seed_base, "row", t, rep)
