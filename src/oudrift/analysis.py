@@ -142,7 +142,7 @@ def verify_rsc(
     """Eigenvalue floor of c_n; the unrestricted bound implies the
     cone-restricted one.  Without a reference covariance there is nothing to
     compare the floor to: the report states the floor and passes is None."""
-    min_eig = float(np.linalg.eigvalsh(ctx.c_n)[0])
+    min_eig = float(ctx.c_n_eigvals[0])
     if reference_cov is None:
         return RscReport(min_eig_cn=min_eig, c_b_proxy=None, passes=None)
     c_b = float(np.linalg.eigvalsh(as_matrix(reference_cov))[0])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,10 +76,11 @@ def localization_from_observations(
 ) -> LocalizationConfig:
     """Data-driven localization: radius_mult x the RMS state norm and
     eta_mult x the mean increment norm (times a regime-specific eta_scale).
+    Reads obs's cached row norms, never the states.
 
     Raises DegenerateLocalizationError when either level is not positive,
     as on a path that never moves."""
-    radius_b = radius_mult * float(np.sqrt(np.vdot(obs.states, obs.states) / len(obs.states)))
+    radius_b = radius_mult * float(np.sqrt(np.mean(obs.state_norms_sq)))
     eta = eta_mult * float(np.mean(np.sqrt(obs.increment_norms_sq))) * eta_scale
     if not (radius_b > 0 and eta > 0):
         raise DegenerateLocalizationError(
@@ -101,20 +103,27 @@ class ContrastContext:
     m1: np.ndarray
     c_n: np.ndarray
 
+    @cached_property
+    def c_n_eigvals(self) -> np.ndarray:
+        """Eigenvalues of c_n in ascending order, computed on first read and
+        cached read-only: the solver's step, the least-squares start's tests
+        and the curvature certificate all read this one decomposition."""
+        eigs = np.linalg.eigvalsh(self.c_n)
+        eigs.flags.writeable = False
+        return eigs
+
 
 def build_context(obs: ObservationSet, loc: LocalizationConfig) -> ContrastContext:
     """Reduce a path to the contrast's sufficient statistics (module docstring).
 
-    s0 and n_active come from obs's cached increment norms.  c_n and m1 are
-    summed in one pass over the states in blocks (`row_blocks`): each
+    The mask, s0 and n_active come from obs's cached row norms.  c_n and m1
+    are summed in one pass over the states in blocks (`row_blocks`): each
     block's states with inactive rows zeroed, not dropped, and its
     increments.  Writes to nothing of obs and makes no path-sized array."""
     x, n, d = obs.states, obs.n_obs, obs.d
     x_prev = x[:-1]
     norms_sq = obs.increment_norms_sq
-    active = (np.sqrt(np.einsum("ij,ij->i", x_prev, x_prev)) <= loc.radius_b) & (
-        np.sqrt(norms_sq) <= loc.eta
-    )
+    active = (np.sqrt(obs.state_norms_sq[:-1]) <= loc.radius_b) & (np.sqrt(norms_sq) <= loc.eta)
     n_active = int(np.count_nonzero(active))
     if n_active == 0:
         raise DegenerateLocalizationError(

@@ -174,6 +174,8 @@ class ExperimentConfig:
         # `0 < x < inf` also rejects NaN, which passes every `<= 0` check
         if not self.t_sweep or not all(0 < t < math.inf for t in self.t_sweep):
             raise ValueError("t_sweep must be nonempty with finite positive horizons")
+        if self.d < 2:
+            raise ValueError(f"d must be >= 2 (the penalty rule needs log d > 0), got {self.d}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if not 0 < self.delta_n < math.inf:
@@ -242,13 +244,10 @@ def _resolved_gamma(cfg: ExperimentConfig) -> float:
     return cfg.tuning.gamma_value
 
 
-def _replicate_data(cfg: ExperimentConfig, t: float, seed: int, trunc_moment: bool = False):
-    """Drift, path, localization, truncated increment moment (None unless
-    `trunc_moment`) and contrast context of the replicate (or calibration
-    pilot) with this seed at horizon t.
+def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
+    """Drift, path, localization and contrast context of the replicate (or
+    calibration pilot) with this seed at horizon t.
 
-    Every reader shares the path's cached increment norms; none makes the
-    increments.
     Calls the other layers through this module's globals, so a tracer that
     wraps them sees every call.
     """
@@ -270,8 +269,7 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int, trunc_moment: bo
         eta_mult=cfg.localization.eta_mult,
         eta_scale=_eta_scale(cfg.regime, cfg.delta_n),
     )
-    moment = empirical_trunc_moment(obs, loc.eta) if trunc_moment else None
-    return model, obs, loc, moment, build_context(obs, loc)
+    return model, obs, loc, build_context(obs, loc)
 
 
 @dataclass(frozen=True)
@@ -347,7 +345,7 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     for k in range(cfg.calibration_reps):
         seed = derive_seed(cfg.seed_base, "calibration", k)
         try:
-            model, _, _, _, ctx = _replicate_data(cfg, t, seed)
+            model, _, _, ctx = _replicate_data(cfg, t, seed)
         except _REPLICATE_ERRORS as exc:
             message = _error_message(exc)
             logger.warning("calibration pilot %d (seed %d) dropped: %s", k, seed, message)
@@ -430,13 +428,13 @@ def _least_squares_start(ctx, solver: SolverConfig) -> SolverConfig:
     """
     if solver.l_init is not None or solver.s_init is not None:
         return solver
-    c_n, dn = ctx.c_n, ctx.delta_n
+    dn = ctx.delta_n
     try:
-        eigs = np.linalg.eigvalsh(c_n)
+        eigs = ctx.c_n_eigvals
         if not eigs[0] > ctx.d * np.finfo(float).eps * eigs[-1]:
             return solver
         # c_n is symmetric, so a = -(c_n^{-1} m1^T)^T / delta_n
-        a_ls = -np.linalg.solve(c_n, ctx.m1.T).T / dn
+        a_ls = -np.linalg.solve(ctx.c_n, ctx.m1.T).T / dn
     except np.linalg.LinAlgError:
         return solver
     error_sq = ctx.s0 * float(np.sum(1.0 / eigs)) / (ctx.n * dn * dn)
@@ -470,7 +468,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
     lambdas = tune_lambdas(cfg.d, t, calib.solver_tuning)
     cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
     try:
-        model, obs, loc, moment, ctx = _replicate_data(cfg, t, seed, trunc_moment=True)
+        model, obs, loc, ctx = _replicate_data(cfg, t, seed)
         result = solve(ctx, lambdas, _least_squares_start(ctx, cfg.solver))
     except _REPLICATE_ERRORS as exc:
         message = _error_message(exc)
@@ -510,7 +508,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
         "min_eig_cn": rsc.min_eig_cn,
         "c_b_proxy": rsc.c_b_proxy,
         "rsc_pass": int(rsc.passes),
-        "trunc_moment": moment,
+        "trunc_moment": empirical_trunc_moment(obs, loc.eta),
         "iterations": result.iterations,
         "converged": int(result.converged),
         "wall_time_s": time.perf_counter() - start,

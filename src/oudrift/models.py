@@ -99,6 +99,11 @@ class IncoherenceReport:
     passes: bool
 
 
+# Diagonal shifts `generate_drift` tries, each half a spectral floor above the
+# last, before it raises GenerationError.
+_SHIFT_MAX_ATTEMPTS = 100
+
+
 def generate_drift(
     d: int,
     r: int,
@@ -107,7 +112,6 @@ def generate_drift(
     spectral_floor: float = 0.1,
     lowrank_scale: float = 1.0,
     sparse_magnitude: tuple = (0.3, 1.0),
-    max_attempts: int = 100,
 ) -> DriftModel:
     """Construct a stable drift A0 = L0 + S0 with rank(L0) <= r.
 
@@ -148,7 +152,7 @@ def generate_drift(
     base = l0 + s0
     min_real = float(np.min(np.linalg.eigvals(base).real)) if d > 0 else 0.0
     shift = max(spectral_floor - min_real, 0.0)
-    for attempt in range(max_attempts):
+    for _ in range(_SHIFT_MAX_ATTEMPTS):
         a0 = base + shift * np.eye(d)
         margin = float(np.min(np.linalg.eigvals(a0).real))
         if margin >= spectral_floor * (1.0 - 1e-9):
@@ -156,7 +160,7 @@ def generate_drift(
         shift += 0.5 * spectral_floor
     else:
         raise GenerationError(
-            f"no stable drift after {max_attempts} attempts (last shift {shift:.3g})"
+            f"no stable drift after {_SHIFT_MAX_ATTEMPTS} attempts (last shift {shift:.3g})"
         )
 
     # l0 + s0 below equals the last candidate a0 bit for bit: s0's diagonal

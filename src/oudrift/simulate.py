@@ -40,8 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 import mmap
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,8 +62,8 @@ __all__ = [
 REGIME_TAGS = ("continuous", "bounded", "subweibull", "polymoment")
 
 OVERFLOW_GUARD = 1e12
-# Bytes per block of the block-wise passes over a path (the finiteness scan,
-# the increment norms, `build_context`): small next to a path, so a pass
+# Bytes per block of the block-wise passes over a path (`ObservationSet`'s
+# norm pass, `build_context`): small next to a path, so a pass
 # makes no path-sized temporary, and large enough to keep Python's
 # per-block cost small.
 _BLOCK_BYTES = 1 << 18
@@ -157,30 +156,44 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """States X_{t_0..t_n} on the mesh delta_n; the increments derive from them.
+    """States X_{t_0..t_n} on the mesh delta_n, and their squared row norms.
 
     The states are stored as a read-only view (no copy; the caller's array
-    keeps its own flags, and writing to it leaves the caches stale).  The
-    increments and their squared norms are each computed on first read and
-    cached read-only.  The finiteness check and the norms run over the
-    states block by block (`row_blocks`), so neither makes a path-sized
-    temporary.
+    keeps its own flags, and writing to it leaves the norms stale).  One
+    pass over the states, block by block (`row_blocks`), checks that they
+    are finite and measures ||X_{t_k}||^2 (`state_norms_sq`) and
+    ||X_{t_k} - X_{t_(k-1)}||^2 (`increment_norms_sq`), both cached
+    read-only; no path-sized temporary is made.  Every reader of a row norm
+    reads these, never the states.
     """
 
     states: np.ndarray
     delta_n: float
+    state_norms_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    increment_norms_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 2:
+        x = np.asarray(self.states, dtype=float)
+        if x.ndim != 2 or x.shape[0] < 2:
             raise ValueError("states must be (n+1, d) with n >= 1")
-        blocks = row_blocks(*states.shape)
-        if not all(np.isfinite(states[a:b]).all() for a, b in blocks):
-            raise ValueError("states contain non-finite entries")
-        states = states.view()
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
+        n, d = x.shape[0] - 1, x.shape[1]
+        state_sq = np.empty(n + 1)
+        inc_sq = np.empty(n)
+        blocks = row_blocks(n, d)
+        scratch = np.empty((blocks[0][1], d))
+        for start, stop in blocks:  # block rows start..stop and its increments
+            rows = x[start : stop + 1]
+            if not np.isfinite(rows).all():
+                raise ValueError("states contain non-finite entries")
+            np.einsum("ij,ij->i", rows, rows, out=state_sq[start : stop + 1])
+            inc = np.subtract(rows[1:], rows[:-1], out=scratch[: stop - start])
+            np.einsum("ij,ij->i", inc, inc, out=inc_sq[start:stop])
+        x = x.view()
+        x.flags.writeable = False
+        object.__setattr__(self, "states", x)
         object.__setattr__(self, "delta_n", float(self.delta_n))
+        object.__setattr__(self, "state_norms_sq", _read_only(state_sq))
+        object.__setattr__(self, "increment_norms_sq", _read_only(inc_sq))
 
     @property
     def d(self) -> int:
@@ -189,43 +202,6 @@ class ObservationSet:
     @property
     def n_obs(self) -> int:
         return self.states.shape[0] - 1
-
-    @cached_property
-    def increments(self) -> np.ndarray:
-        """dX_k = X_{t_k} - X_{t_(k-1)}, shape (n_obs, d); read-only."""
-        return _read_only(np.diff(self.states, axis=0))
-
-    @cached_property
-    def increment_norms_sq(self) -> np.ndarray:
-        """||dX_k||^2, shape (n_obs,); read-only."""
-        x, n = self.states, self.n_obs
-        blocks = row_blocks(n, self.d)
-        out = np.empty(n)
-        block = np.empty((blocks[0][1], self.d))
-        for start, stop in blocks:
-            inc = np.subtract(x[start + 1 : stop + 1], x[start:stop], out=block[: stop - start])
-            np.einsum("ij,ij->i", inc, inc, out=out[start:stop])
-        return _read_only(out)
-
-    def save_csv(self, path) -> None:
-        """Header records d, n, delta_n; each row is t_k then the state."""
-        n = self.n_obs
-        t = np.arange(n + 1) * self.delta_n
-        data = np.column_stack([t, self.states])
-        header = f"d={self.d},n={n},delta_n={self.delta_n!r}"
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header)
-
-    @classmethod
-    def load_csv(cls, path) -> "ObservationSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().lstrip("#").strip()
-        fields = dict(part.split("=") for part in header.split(","))
-        delta_n = float(fields["delta_n"])
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        states = data[:, 1:]
-        if states.shape[1] != int(fields["d"]) or states.shape[0] != int(fields["n"]) + 1:
-            raise ValueError(f"CSV shape {states.shape} does not match header {header!r}")
-        return cls(states, delta_n)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -523,7 +499,8 @@ def simulate_path(
 
 
 def empirical_trunc_moment(obs: ObservationSet, eta: float) -> float:
-    """Mean of ||increment||^2 over increments with norm above eta."""
+    """(1/n) sum_k ||dX_k||^2 1{||dX_k|| > eta}: the squared increment norms
+    above eta, averaged over all n increments.  Reads obs's cached norms."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     norms_sq = obs.increment_norms_sq

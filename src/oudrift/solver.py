@@ -237,7 +237,7 @@ def solve(
     l_cur = _start(cfg.l_init, "l_init", d)
     s_cur = _start(cfg.s_init, "s_init", d)
 
-    lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(c_n)[-1])
+    lip = 2.0 * dn * dn * float(ctx.c_n_eigvals[-1])
     tau = 1.0 / lip if lip > 0 else 1.0
 
     # the smooth part at the current iterate: its product with c_n and loss

@@ -12,7 +12,13 @@ from oudrift.contrast import (
     loss,
 )
 from oudrift.models import generate_drift
-from oudrift.simulate import LevyRegime, ObservationSet, PathConfig, simulate_path
+from oudrift.simulate import (
+    LevyRegime,
+    ObservationSet,
+    PathConfig,
+    empirical_trunc_moment,
+    simulate_path,
+)
 
 
 def make_obs(d=4, n=400, seed=0, delta_n=0.1):
@@ -93,19 +99,12 @@ def test_build_context_matches_one_shot_reduction_and_caches_no_increments(loc, 
     assert np.array_equal(ctx.c_n, ctx.c_n.T)
 
     assert np.array_equal(obs.states, states)
-    assert "increments" not in vars(obs)
+    norms = (obs.state_norms_sq, obs.increment_norms_sq)
     again = build_context(obs, loc)
-    assert "increments" not in vars(obs)
     assert again.s0 == ctx.s0 and np.array_equal(again.m1, ctx.m1)
     assert np.array_equal(again.c_n, ctx.c_n)
-    inc = obs.increments
-    assert np.array_equal(inc, np.diff(states, axis=0))
-    norms_sq = obs.increment_norms_sq
-    assert obs.increment_norms_sq is norms_sq
-    assert np.array_equal(norms_sq, np.einsum("ij,ij->i", inc, inc))
-    for cached in (inc, norms_sq):
-        with pytest.raises(ValueError):
-            cached[0] = 1.0
+    assert obs.state_norms_sq is norms[0] and obs.increment_norms_sq is norms[1]
+    assert set(vars(obs)) == {"states", "delta_n", "state_norms_sq", "increment_norms_sq"}
 
 
 def test_build_context_total_truncation_errors():
@@ -127,6 +126,20 @@ def test_localization_of_a_still_path_is_degenerate(states, level):
         localization_from_observations(obs)
 
 
+def test_localization_and_trunc_moment_read_no_state_row():
+    # both read the norms ObservationSet measured once; overwriting the
+    # caller's array under the read-only view leaves them unchanged
+    _, path = make_obs(d=4, n=400, seed=2)
+    states = path.states.copy()
+    obs = ObservationSet(states, delta_n=path.delta_n)
+    loc = localization_from_observations(obs)
+    moment = empirical_trunc_moment(obs, loc.eta / 4.0)
+    assert moment > 0
+    states[:] = np.nan
+    assert localization_from_observations(obs) == loc
+    assert empirical_trunc_moment(obs, loc.eta / 4.0) == moment
+
+
 def test_build_context_hand_dataset():
     obs = ObservationSet(np.array([[1.0], [3.0]]), delta_n=1.0)
     ctx = build_context(obs, LocalizationConfig(radius_b=2.0, eta=10.0))
@@ -145,7 +158,7 @@ def test_loss_zero_on_noiseless_data_at_truth():
 def test_loss_at_zero_is_mean_squared_increment():
     _, obs = make_obs()
     ctx = build_context(obs, LocalizationConfig(radius_b=1e9, eta=1e9))
-    expected = np.sum(obs.increments**2) / ctx.n
+    expected = np.sum(np.diff(obs.states, axis=0) ** 2) / ctx.n
     assert loss(ctx, np.zeros((obs.d, obs.d))) == pytest.approx(expected)
 
 
@@ -184,7 +197,7 @@ def test_empirical_norm_formulas_agree():
     rng = np.random.default_rng(1)
     x = obs.states[:-1]
     active = (np.linalg.norm(x, axis=1) <= loc.radius_b) & (
-        np.linalg.norm(obs.increments, axis=1) <= loc.eta
+        np.linalg.norm(np.diff(obs.states, axis=0), axis=1) <= loc.eta
     )
     assert 0 < active.sum() < ctx.n  # truncation is exercised
     assert ctx.n_active == active.sum()

@@ -96,10 +96,12 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc["solver"].update(acceleration=True), "unknown config key 'solver.acceleration'"),
         # JSON writes and reads NaN, which a `<= 0` check lets through
         (lambda doc: doc["solver"].update(tol=float("nan")), "tol must be finite and positive"),
+        # log d = 0 would divide by zero in calibration, after every pilot ran
+        (lambda doc: doc.update(d=1), "d must be >= 2"),
     ],
     ids=[
         "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
-        "bool-string", "int-fraction", "quantile-range", "retired", "tol-nan",
+        "bool-string", "int-fraction", "quantile-range", "retired", "tol-nan", "d-below-2",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
@@ -381,7 +383,7 @@ def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, mon
 @pytest.mark.parametrize("preset", ["continuous", "polymoment"])
 def test_least_squares_start_solves_the_normal_equations(preset):
     cfg = regime_preset(preset)
-    _, _, _, _, ctx = experiment._replicate_data(cfg, 250.0, 3)
+    _, _, _, ctx = experiment._replicate_data(cfg, 250.0, 3)
     start = experiment._least_squares_start(ctx, cfg.solver)
     assert np.array_equal(start.l_init, np.zeros((cfg.d, cfg.d)))
     rhs = ctx.m1 / ctx.delta_n  # A_LS c_n = -rhs, to 1e-12 of rhs's largest entry
@@ -406,9 +408,33 @@ def test_least_squares_start_falls_back_to_the_configured_solver(c_n):
 @pytest.mark.parametrize("field_name", ["l_init", "s_init"])
 def test_least_squares_start_keeps_a_configured_warm_start(field_name):
     cfg = regime_preset("bounded")
-    _, _, _, _, ctx = experiment._replicate_data(cfg, 100.0, 3)
+    _, _, _, ctx = experiment._replicate_data(cfg, 100.0, 3)
     solver = replace(cfg.solver, **{field_name: np.full((cfg.d, cfg.d), 0.01)})
     assert experiment._least_squares_start(ctx, solver) is solver
+
+
+def test_c_n_is_decomposed_once_per_context(monkeypatch):
+    # the start's tests, every solve's step and the curvature floor read the
+    # context's one cached spectrum
+    cfg = regime_preset("bounded")
+    _, _, _, ctx = experiment._replicate_data(cfg, 100.0, 3)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    start = experiment._least_squares_start(ctx, cfg.solver)
+    assert start is not cfg.solver
+    for solver in (start, cfg.solver):
+        experiment.solve(ctx, (0.01, 0.01), solver)
+    rsc = experiment.verify_rsc(ctx)
+    assert len(calls) == 1 and calls[0] is ctx.c_n
+    assert rsc.min_eig_cn == eigvalsh(ctx.c_n)[0]
+    with pytest.raises(ValueError):
+        ctx.c_n_eigvals[0] = 0.0
 
 
 @pytest.mark.parametrize("preset", ["continuous", "polymoment"])
@@ -420,7 +446,7 @@ def test_least_squares_and_zero_starts_reach_the_same_optimum(preset):
     lambdas = experiment.tune_lambdas(cfg.d, t, experiment.calibrate_tuning(cfg).solver_tuning)
     tight = SolverConfig(max_iters=100000, tol=1e-14)
     for seed in range(3):
-        _, _, _, _, ctx = experiment._replicate_data(cfg, t, seed)
+        _, _, _, ctx = experiment._replicate_data(cfg, t, seed)
         start = experiment._least_squares_start(ctx, tight)
         assert start is not tight
         zero = experiment.solve(ctx, lambdas, tight)
@@ -438,7 +464,7 @@ def test_least_squares_start_is_not_taken_on_a_short_horizon(monkeypatch, t):
     # but A_LS mostly noise.  Either way the replicate runs from zero, as if
     # the least-squares start did not exist.
     cfg = replace(regime_preset("polymoment"), calibrate=False, t_sweep=(t,))
-    _, _, _, _, ctx = experiment._replicate_data(cfg, t, 3)
+    _, _, _, ctx = experiment._replicate_data(cfg, t, 3)
     assert (ctx.n_active < cfg.d) == (t < 1.0)
     assert experiment._least_squares_start(ctx, cfg.solver) is cfg.solver
     calib = experiment.calibrate_tuning(cfg)
@@ -492,8 +518,8 @@ def _replicate_data_peak(peak_bytes, cfg, t):
     """Peak of one replicate's `_replicate_data`, in (n+1, d) float64 path
     arrays, and its context."""
     path_bytes = (int(round(t / cfg.delta_n)) + 1) * cfg.d * 8
-    experiment._replicate_data(cfg, t, 1, trunc_moment=True)  # one-time allocations
-    peak, data = peak_bytes(experiment._replicate_data, cfg, t, 2, trunc_moment=True)
+    experiment._replicate_data(cfg, t, 1)  # one-time allocations
+    peak, data = peak_bytes(experiment._replicate_data, cfg, t, 2)
     return peak / path_bytes, data[-1]
 
 
@@ -684,6 +710,8 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         tiny_config(tmp_path, delta_n=-0.1)
     bad = [
+        ({"d": 1, "r": 0, "s": 0, "regime": LevyRegime(tag="continuous", sigma=np.eye(1))},
+         r"d must be >= 2 \(the penalty rule needs log d > 0\), got 1"),
         ({"substeps": 0}, "substeps must be >= 1"),
         ({"regime": LevyRegime(tag="continuous", sigma=np.eye(3))}, r"regime.sigma has shape \(3, 3\)"),
         ({"calibration_quantile": 1.5}, "calibration_quantile must lie between 0 and 1"),

@@ -120,14 +120,24 @@ def test_path_determinism_bit_identical():
     a = simulate_path(model, regime, cfg)
     b = simulate_path(model, regime, cfg)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a.state_norms_sq, b.state_norms_sq)
+    assert np.array_equal(a.increment_norms_sq, b.increment_norms_sq)
 
 
 def test_increments_match_state_differences():
+    # the cached norms, measured block by block, equal one-shot norms of the
+    # states and of their differences bit for bit
     model = generate_drift(d=3, r=1, s=2, seed=1)
     regime = LevyRegime(tag="continuous", sigma=np.eye(3))
-    obs = simulate_path(model, regime, PathConfig(delta_n=0.1, n_obs=50, seed=4))
-    np.testing.assert_array_equal(obs.increments, np.diff(obs.states, axis=0))
+    obs = simulate_path(model, regime, PathConfig(delta_n=0.1, n_obs=25000, seed=4))
+    assert len(row_blocks(obs.n_obs, obs.d)) == 3
+    x = obs.states
+    inc = np.diff(x, axis=0)
+    assert np.array_equal(obs.state_norms_sq, np.einsum("ij,ij->i", x, x))
+    assert np.array_equal(obs.increment_norms_sq, np.einsum("ij,ij->i", inc, inc))
+    for cached in (obs.state_norms_sq, obs.increment_norms_sq):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
 
 
 def _window_cov(step, sigma, dt, steps):
@@ -431,19 +441,6 @@ def test_empirical_trunc_moment():
         empirical_trunc_moment(obs, eta=0.0)
 
 
-def test_csv_round_trip_exact(tmp_path):
-    model = generate_drift(d=3, r=1, s=2, seed=2)
-    regime = LevyRegime(tag="continuous", sigma=np.eye(3))
-    obs = simulate_path(model, regime, PathConfig(delta_n=0.25, n_obs=40, seed=9))
-    path = tmp_path / "obs.csv"
-    obs.save_csv(path)
-    loaded = ObservationSet.load_csv(path)
-    assert loaded.d == obs.d
-    assert loaded.delta_n == obs.delta_n
-    np.testing.assert_array_equal(loaded.states, obs.states)
-    np.testing.assert_array_equal(loaded.increments, obs.increments)
-
-
 def test_observation_set_states_are_a_read_only_view():
     states = np.zeros((5, 2))
     obs = ObservationSet(states, 0.1)
@@ -467,15 +464,6 @@ def test_observation_set_states_are_a_read_only_view():
 def test_observation_set_rejects_malformed_states(states):
     with pytest.raises(ValueError):
         ObservationSet(states, delta_n=0.1)
-
-
-def test_load_csv_rejects_a_lost_row(tmp_path):
-    path = tmp_path / "obs.csv"
-    ObservationSet(np.arange(8.0).reshape(4, 2), delta_n=0.5).save_csv(path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError, match="does not match header 'd=2,n=3,delta_n=0.5'"):
-        ObservationSet.load_csv(path)
 
 
 def test_path_config_validation():
