@@ -11,6 +11,7 @@ gradient bounds, and the curvature floor of the truncated covariance).
 import numpy as np
 
 import oudrift as od
+from oudrift.matrix_ops import _CERT_TOL  # check_optimality's pass tolerance
 
 d, r, s = 12, 2, 12
 model = od.generate_drift(d=d, r=r, s=s, seed=3, spectral_floor=0.5)
@@ -42,7 +43,7 @@ print(f"support: precision {metrics.support_precision:.2f}, "
 
 opt = od.check_optimality(ctx, result, lambdas)
 print(f"\noptimality residuals: nuclear {opt.nuclear_residual:.2e}, "
-      f"l1 {opt.l1_residual:.2e} (tol {opt.tol_cert})")
+      f"l1 {opt.l1_residual:.2e} (tol {_CERT_TOL:g})")
 
 cone = od.cone_membership(model.tangent, result.l_hat - model.l0,
                           result.s_hat - model.s0)

@@ -1,9 +1,7 @@
 """Low-rank plus sparse drift estimation for Levy-driven OU processes."""
 
 from .matrix_ops import (
-    DEFAULT_TOLS,
     TangentSpaces,
-    Tolerances,
     l1_norm,
     linf_norm,
     nuclear_norm,

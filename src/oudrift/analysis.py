@@ -17,7 +17,8 @@ import numpy as np
 
 from .contrast import ContrastContext, gradient
 from .matrix_ops import (
-    DEFAULT_TOLS,
+    _DENOM_TOL,
+    _SUPPORT_TOL,
     TangentSpaces,
     as_matrix,
     l1_norm,
@@ -91,9 +92,9 @@ class ErrorMetrics:
 
 
 def _ratio(num: float, den: float) -> float:
-    if num <= DEFAULT_TOLS.denom:
+    if num <= _DENOM_TOL:
         return 0.0
-    if den <= DEFAULT_TOLS.denom:
+    if den <= _DENOM_TOL:
         return float("inf")
     return num / den
 
@@ -153,21 +154,16 @@ def verify_rsc(
     )
 
 
-def compute_error_metrics(
-    model: DriftModel,
-    result: EstimateResult,
-    supp_tol: float = DEFAULT_TOLS.support,
-    rank_tol: float = DEFAULT_TOLS.rank_rel,
-) -> ErrorMetrics:
+def compute_error_metrics(model: DriftModel, result: EstimateResult) -> ErrorMetrics:
     """Frobenius risk plus structure-recovery diagnostics.
 
     Support precision/recall compare entries of the sparse estimate above
-    supp_tol with the true support; empty/empty cases count as 1.
+    _SUPPORT_TOL with the true support; empty/empty cases count as 1.
     """
     diff = result.a_hat - model.a0
     frob_err_sq = float(np.sum(diff * diff))
-    rank_l = numerical_rank(result.l_hat, rank_tol)
-    est_supp = np.abs(result.s_hat) > supp_tol
+    rank_l = numerical_rank(result.l_hat)
+    est_supp = np.abs(result.s_hat) > _SUPPORT_TOL
     true_supp = model.tangent.support_mask()
     n_est = int(est_supp.sum())
     n_true = int(true_supp.sum())

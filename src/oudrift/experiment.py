@@ -76,6 +76,13 @@ OUTPUT_DIR_ENV = "OUDRIFT_OUT"
 
 logger = logging.getLogger(__name__)
 
+# Floor on the real parts of a generated drift's eigenvalues.
+_SPECTRAL_FLOOR = 0.5
+# Pilot quantile of the gradient dual norms, and the headroom over it, that
+# place the certificate thresholds (`calibrate_tuning`, stage 1).
+_CALIBRATION_QUANTILE = 0.975
+_CALIBRATION_SAFETY = 1.25
+
 # Failures of one replicate (or calibration pilot): flagged, never fatal.
 _REPLICATE_ERRORS = (
     GenerationError, SimulationBlowupError, DegenerateLocalizationError, DivergenceError
@@ -153,21 +160,14 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: str = "results"
     name: str = "experiment"
-    spectral_floor: float = 0.5
     lowrank_scale: float = 1.0
-    sparse_magnitude: tuple = (0.3, 1.0)
     gamma_auto: bool = True          # derive gamma from the regime and mesh
     calibrate: bool = True           # pilot-calibrate c_op, c_one per run
-    calibration_quantile: float = 0.975
     calibration_reps: int = 30
-    calibration_safety: float = 1.25  # headroom over the pilot quantile
     risk_multipliers: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
     def __post_init__(self):
         object.__setattr__(self, "t_sweep", tuple(float(t) for t in self.t_sweep))
-        object.__setattr__(
-            self, "sparse_magnitude", tuple(float(v) for v in self.sparse_magnitude)
-        )
         object.__setattr__(
             self, "risk_multipliers", tuple(float(v) for v in self.risk_multipliers)
         )
@@ -180,28 +180,28 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if not 0 < self.delta_n < math.inf:
             raise ValueError("delta_n must be finite and positive")
+        if self.regime.tag == "subweibull" and self.delta_n >= 1:
+            raise ValueError(
+                "delta_n must be below 1 in the subweibull regime (its gamma and "
+                f"truncation rules need log(1/delta_n) > 0), got {self.delta_n:g}"
+            )
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         sigma = self.regime.sigma
         if sigma is not None and sigma.shape != (self.d, self.d):
             raise ValueError(f"regime.sigma has shape {sigma.shape}; expected ({self.d}, {self.d})")
         # the pilots would otherwise run before these fail (or are ignored)
-        if not 0.0 <= self.calibration_quantile <= 1.0:
-            raise ValueError(
-                f"calibration_quantile must lie between 0 and 1, got {self.calibration_quantile:g}"
-            )
         if self.calibration_reps < 1:
             raise ValueError("calibration_reps must be >= 1")
-        if not 0 < self.calibration_safety < math.inf:
-            raise ValueError("calibration_safety must be positive and finite")
         if not self.risk_multipliers or not all(0 < v < math.inf for v in self.risk_multipliers):
             raise ValueError("risk_multipliers must be nonempty and positive (and finite)")
 
 
 def _eta_scale(regime: LevyRegime, delta_n: float) -> float:
-    """Regime-specific multiplier of the truncation level."""
+    """Regime-specific multiplier of the truncation level.  The subweibull
+    rule needs delta_n < 1, which ExperimentConfig enforces."""
     if regime.tag == "subweibull":
-        return max(math.log(1.0 / delta_n), 1e-12) ** (1.0 / regime.alpha)
+        return math.log(1.0 / delta_n) ** (1.0 / regime.alpha)
     if regime.tag == "polymoment":
         return delta_n ** (1.0 / regime.p)
     return 1.0
@@ -259,8 +259,7 @@ def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
     )
     model = generate_drift(
         cfg.d, cfg.r, cfg.s, seed=derive_seed(seed, "model"),
-        spectral_floor=cfg.spectral_floor, lowrank_scale=cfg.lowrank_scale,
-        sparse_magnitude=cfg.sparse_magnitude,
+        spectral_floor=_SPECTRAL_FLOOR, lowrank_scale=cfg.lowrank_scale,
     )
     obs = simulate_path(model, cfg.regime, pcfg)
     loc = localization_from_observations(
@@ -313,15 +312,16 @@ def _uncalibrated(cfg: ExperimentConfig, failed_pilots: tuple = ()) -> Calibrati
     )
 
 
-def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> Calibration:
-    """Calibrate penalty constants on pilot replicates.
+def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
+    """Calibrate penalty constants on pilot replicates at the longest horizon.
 
     Stage 1 sets c_op (c_one) so the half-penalty threshold sits at the
-    calibration quantile of the operator (entrywise max) norm of the contrast
-    gradient at the true drift, times a safety factor absorbing the quantile
-    estimate's own sampling noise.  Stage 2 rescales both constants by the
-    multiplier of cfg.risk_multipliers minimizing the mean pilot squared
-    error (the earlier multiplier wins a tie).
+    _CALIBRATION_QUANTILE quantile of the operator (entrywise max) norm of
+    the contrast gradient at the true drift, times _CALIBRATION_SAFETY, the
+    headroom that absorbs the quantile estimate's own sampling noise.
+    Stage 2 rescales both constants by the multiplier of
+    cfg.risk_multipliers minimizing the mean pilot squared error (the
+    earlier multiplier wins a tie).
 
     The multipliers, in their configured order (largest first by default),
     form a continuation path: each pilot's solve at a multiplier starts from
@@ -336,7 +336,7 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     pilot's start at its last successful solution.  Raises CalibrationError
     when no pilot survives.
     """
-    t = float(t_pilot if t_pilot is not None else max(cfg.t_sweep))
+    t = max(cfg.t_sweep)
     gamma = _resolved_gamma(cfg)
     op_norms = []
     inf_norms = []
@@ -359,15 +359,13 @@ def calibrate_tuning(cfg: ExperimentConfig, t_pilot: Optional[float] = None) -> 
     failed = tuple(failed)
     if not pilots:
         raise CalibrationError(failed)
-    q = cfg.calibration_quantile
-    safety = cfg.calibration_safety
-    q_op = float(np.quantile(op_norms, q))
-    q_inf = float(np.quantile(inf_norms, q))
+    q_op = float(np.quantile(op_norms, _CALIBRATION_QUANTILE))
+    q_inf = float(np.quantile(inf_norms, _CALIBRATION_QUANTILE))
     log_d = math.log(cfg.d)
     cert = replace(
         cfg.tuning,
-        c_op=safety * q_op * math.sqrt(t / (gamma * log_d)),
-        c_one=safety * q_inf * math.sqrt(t / (2.0 * gamma * log_d)),
+        c_op=_CALIBRATION_SAFETY * q_op * math.sqrt(t / (gamma * log_d)),
+        c_one=_CALIBRATION_SAFETY * q_inf * math.sqrt(t / (2.0 * gamma * log_d)),
         gamma_value=gamma,
     )
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLS",
     "TangentSpaces",
     "as_matrix",
     "nuclear_norm",
@@ -33,18 +31,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric-tolerance record shared across the package."""
-
-    orth: float = 1e-10          # orthonormality of tangent factor bases
-    rank_rel: float = 1e-8       # sigma_i counted nonzero if > rank_rel * sigma_max
-    certificate: float = 1e-4    # solver first-order-condition residuals
-    support: float = 1e-6        # entry magnitude counted as nonzero support
-    denom: float = 1e-14         # ratio denominators flagged as degenerate below this
-
-
-DEFAULT_TOLS = Tolerances()
+# Numeric tolerances shared across the package.
+_ORTH_TOL = 1e-10     # orthonormality of tangent factor bases
+_RANK_TOL = 1e-8      # sigma_i counted nonzero if > _RANK_TOL * sigma_max
+_CERT_TOL = 1e-4      # solver first-order-condition residuals
+_SUPPORT_TOL = 1e-6   # entry magnitude counted as nonzero support
+_DENOM_TOL = 1e-14    # ratio denominators flagged as degenerate below this
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,12 +74,12 @@ def linf_norm(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def numerical_rank(m, rank_tol: float = DEFAULT_TOLS.rank_rel) -> int:
-    """Number of singular values above rank_tol * sigma_max."""
+def numerical_rank(m) -> int:
+    """Number of singular values above _RANK_TOL * sigma_max."""
     s = np.linalg.svd(as_matrix(m), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > _RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ class TangentSpaces:
             raise ValueError(f"u0 and v0 shapes differ: {u0.shape} vs {v0.shape}")
         for basis, name in ((u0, "u0"), (v0, "v0")):
             gram = basis.T @ basis
-            if gram.size and np.max(np.abs(gram - np.eye(r))) > DEFAULT_TOLS.orth:
+            if gram.size and np.max(np.abs(gram - np.eye(r))) > _ORTH_TOL:
                 raise ValueError(f"{name} columns are not orthonormal")
         for i, j in self.support:
             if not (0 <= i < d and 0 <= j < d):

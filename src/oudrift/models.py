@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .matrix_ops import (
-    DEFAULT_TOLS,
+    _DENOM_TOL,
     TangentSpaces,
     as_matrix,
     l1_norm,
@@ -102,6 +102,8 @@ class IncoherenceReport:
 # Diagonal shifts `generate_drift` tries, each half a spectral floor above the
 # last, before it raises GenerationError.
 _SHIFT_MAX_ATTEMPTS = 100
+# Range of the magnitudes of S0's off-diagonal entries.
+_SPARSE_MAGNITUDE = (0.3, 1.0)
 
 
 def generate_drift(
@@ -111,13 +113,12 @@ def generate_drift(
     seed: int = 0,
     spectral_floor: float = 0.1,
     lowrank_scale: float = 1.0,
-    sparse_magnitude: tuple = (0.3, 1.0),
 ) -> DriftModel:
     """Construct a stable drift A0 = L0 + S0 with rank(L0) <= r.
 
     L0 is a product of random orthonormal factors with a positive spectrum of
     scale `lowrank_scale`; S0 holds `s` off-diagonal entries with magnitudes
-    in `sparse_magnitude` plus the diagonal shift that makes every eigenvalue
+    in _SPARSE_MAGNITUDE plus the diagonal shift that makes every eigenvalue
     of A0 have real part >= spectral_floor.  Deterministic given `seed`.
     """
     if not (0 <= r <= d):
@@ -144,7 +145,7 @@ def generate_drift(
     s0 = np.zeros((d, d))
     if n_off > 0:
         chosen = rng.choice(d * (d - 1), size=n_off, replace=False)
-        lo, hi = sparse_magnitude
+        lo, hi = _SPARSE_MAGNITUDE
         for idx in chosen:
             i, j = divmod(int(idx), d - 1)
             s0[i, j + (j >= i)] = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
@@ -227,7 +228,7 @@ def estimate_incoherence(
             for i, j in support:
                 m[i, j] = rng_l.standard_normal()
             denom = nuclear_norm(m)
-            if denom > DEFAULT_TOLS.denom:
+            if denom > _DENOM_TOL:
                 xi_l = max(xi_l, nuclear_norm(project_tl_perp(ts, m)) / denom)
 
     xi_s = 0.0
@@ -237,12 +238,12 @@ def estimate_incoherence(
             m[i, j] = 1.0
             n = project_tl(ts, m)
             denom = l1_norm(n)
-            if denom > DEFAULT_TOLS.denom:
+            if denom > _DENOM_TOL:
                 xi_s = max(xi_s, l1_norm(project_ts_perp(ts, n)) / denom)
     for _ in range(n_samples):
         n = rng_s.standard_normal((d, ts.rank)) @ ts.v0.T + ts.u0 @ rng_s.standard_normal((d, ts.rank)).T
         denom = l1_norm(n)
-        if denom > DEFAULT_TOLS.denom:
+        if denom > _DENOM_TOL:
             xi_s = max(xi_s, l1_norm(project_ts_perp(ts, n)) / denom)
 
     return IncoherenceReport(

@@ -427,14 +427,9 @@ def _scan(x: np.ndarray, out: np.ndarray, n: int, power: np.ndarray) -> np.ndarr
 
 def _first_bad_row(states: np.ndarray) -> Optional[int]:
     """Index of the first row with an entry outside the open overflow guard
-    (-OVERFLOW_GUARD, OVERFLOW_GUARD), NaN included; None when there is none.
-
-    One min and one max over the array decide the common case; only a
-    failure pays for the row scan.
-    """
-    if -OVERFLOW_GUARD < states.min() and states.max() < OVERFLOW_GUARD:
-        return None
-    return int(np.argmax(~np.all(np.abs(states) < OVERFLOW_GUARD, axis=1)))
+    (-OVERFLOW_GUARD, OVERFLOW_GUARD), NaN included; None when there is none."""
+    bad = ~np.all(np.abs(states) < OVERFLOW_GUARD, axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def simulate_path(
@@ -458,7 +453,10 @@ def simulate_path(
     duration, rounded up to whole observation windows.  Raises
     SimulationBlowupError when the state leaves the overflow guard by the
     end of burn-in or at an observation, naming the first such observation
-    time.  Deterministic given cfg.seed.
+    time.  The returned ObservationSet's squared row norms decide that:
+    ||x||^2 < OVERFLOW_GUARD^2 puts every entry of x inside the guard, so
+    only a path with a row at or past it (or a non-finite one) is scanned
+    entry by entry (`_first_bad_row`).  Deterministic given cfg.seed.
     """
     d = model.d
     if regime.sigma is not None and regime.sigma.shape[0] != d:
@@ -483,19 +481,24 @@ def simulate_path(
         _window_drive(regime, dt, powers, factor, rng, buf[1 : n_burn + 1])
         _window_drive(regime, dt, powers, factor, rng, buf[n_burn + 1 : n + 1])
         states = _scan(x, buf, n, powers[m])[n_burn:]
-        burn_bad = n_burn > 0 and _first_bad_row(states[:1]) is not None
-        k = _first_bad_row(states[1:])
-    if burn_bad:
+        try:
+            obs = ObservationSet(states, cfg.delta_n)
+        except ValueError:  # a non-finite state
+            obs = None
+    if obs is not None and obs.state_norms_sq.max() < OVERFLOW_GUARD**2:
+        return obs
+    if n_burn > 0 and _first_bad_row(states[:1]) is not None:
         raise SimulationBlowupError(
             f"burn-in exceeded overflow guard (dt={dt:g}, "
             f"stability_margin={model.stability_margin:g})"
         )
+    k = _first_bad_row(states[1:])
     if k is not None:
         raise SimulationBlowupError(
             f"state exceeded overflow guard at t={(k + 1) * cfg.delta_n:g} "
             f"(dt={dt:g}, stability_margin={model.stability_margin:g})"
         )
-    return ObservationSet(states, cfg.delta_n)
+    return obs  # a non-finite row fails the scan, so obs is set here
 
 
 def empirical_trunc_moment(obs: ObservationSet, eta: float) -> float:

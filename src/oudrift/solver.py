@@ -26,7 +26,8 @@ from .contrast import (
     gradient,
 )
 from .matrix_ops import (
-    DEFAULT_TOLS,
+    _CERT_TOL,
+    _RANK_TOL,
     _singular_value_threshold,
     _soft_threshold,
     l1_norm,
@@ -103,14 +104,17 @@ def gamma_factor(regime: LevyRegime, delta_n: float) -> float:
     """Regime-dependent scaling factor of the concentration rate.
 
     Constant for continuous and bounded-jump noise, poly-logarithmic in
-    1/delta_n for sub-Weibull tails, polynomial for p-th moment tails.
-    Configurable placeholder rules; override via TuningConfig.gamma_value.
+    1/delta_n for sub-Weibull tails (defined for delta_n < 1, where
+    log(1/delta_n) > 0), polynomial for p-th moment tails.  Configurable
+    placeholder rules; override via TuningConfig.gamma_value.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
     if regime.tag in ("continuous", "bounded"):
         return 1.0
     if regime.tag == "subweibull":
+        if delta_n >= 1:
+            raise ValueError(f"delta_n must be below 1 for the subweibull rule, got {delta_n:g}")
         return (1.0 + math.log(1.0 / delta_n)) ** (2.0 / regime.alpha)
     if regime.tag == "polymoment":
         return delta_n ** (-2.0 / regime.p)
@@ -312,20 +316,16 @@ class OptimalityReport:
     gradient is from the scaled subdifferential at the returned point;
     normalized by the penalty level, so 0 is exact stationarity.  With a zero
     penalty level the raw dual norm of the gradient is reported instead.
+    Passes when both residuals are at most _CERT_TOL.
     """
 
     nuclear_residual: float
     l1_residual: float
     passes: bool
-    tol_cert: float
 
 
 def check_optimality(
-    ctx: ContrastContext,
-    result: EstimateResult,
-    lambdas: tuple,
-    tol_cert: float = DEFAULT_TOLS.certificate,
-    rank_tol: float = DEFAULT_TOLS.rank_rel,
+    ctx: ContrastContext, result: EstimateResult, lambdas: tuple
 ) -> OptimalityReport:
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     g = gradient(ctx, result.a_hat)
@@ -334,7 +334,7 @@ def check_optimality(
     if lam_star > 0:
         target = -g / lam_star
         u, sig, vt = np.linalg.svd(result.l_hat, full_matrices=False)
-        rank = int(np.sum(sig > rank_tol * sig[0])) if sig.size and sig[0] > 0 else 0
+        rank = int(np.sum(sig > _RANK_TOL * sig[0])) if sig.size and sig[0] > 0 else 0
         if rank == 0:
             nuc_res = max(0.0, operator_norm(target) - 1.0)
         else:
@@ -365,6 +365,5 @@ def check_optimality(
     return OptimalityReport(
         nuclear_residual=float(nuc_res),
         l1_residual=float(l1_res),
-        passes=bool(nuc_res <= tol_cert and l1_res <= tol_cert),
-        tol_cert=tol_cert,
+        passes=bool(nuc_res <= _CERT_TOL and l1_res <= _CERT_TOL),
     )

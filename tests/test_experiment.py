@@ -92,16 +92,27 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc.update(solver=5), "config key 'solver' must be an object"),
         (lambda doc: doc.update(calibrate="false"), "config key 'calibrate': expected true or false"),
         (lambda doc: doc.update(replicates=2.9), "config key 'replicates': expected an integer"),
-        (lambda doc: doc.update(calibration_quantile=1.5), "calibration_quantile must lie between 0 and 1"),
         (lambda doc: doc["solver"].update(acceleration=True), "unknown config key 'solver.acceleration'"),
+        # fixed constants now: a config or an older manifest that sets one is rejected
+        (lambda doc: doc.update(calibration_quantile=0.975), "unknown config key 'calibration_quantile'"),
+        (lambda doc: doc.update(calibration_safety=1.25), "unknown config key 'calibration_safety'"),
+        (lambda doc: doc.update(sparse_magnitude=[0.3, 1.0]), "unknown config key 'sparse_magnitude'"),
+        (lambda doc: doc.update(spectral_floor=0.5), "unknown config key 'spectral_floor'"),
         # JSON writes and reads NaN, which a `<= 0` check lets through
         (lambda doc: doc["solver"].update(tol=float("nan")), "tol must be finite and positive"),
         # log d = 0 would divide by zero in calibration, after every pilot ran
         (lambda doc: doc.update(d=1), "d must be >= 2"),
+        # log(1/delta_n) <= 0 would fail every pilot (or make gamma complex)
+        (
+            lambda doc: doc.update(delta_n=3.0) or doc["regime"].update(tag="subweibull"),
+            "delta_n must be below 1 in the subweibull regime",
+        ),
     ],
     ids=[
         "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
-        "bool-string", "int-fraction", "quantile-range", "retired", "tol-nan", "d-below-2",
+        "bool-string", "int-fraction", "retired", "retired-calibration_quantile",
+        "retired-calibration_safety", "retired-sparse_magnitude", "retired-spectral_floor",
+        "tol-nan", "d-below-2", "subweibull-delta-n",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
@@ -714,20 +725,24 @@ def test_experiment_config_validation(tmp_path):
          r"d must be >= 2 \(the penalty rule needs log d > 0\), got 1"),
         ({"substeps": 0}, "substeps must be >= 1"),
         ({"regime": LevyRegime(tag="continuous", sigma=np.eye(3))}, r"regime.sigma has shape \(3, 3\)"),
-        ({"calibration_quantile": 1.5}, "calibration_quantile must lie between 0 and 1"),
-        ({"calibration_quantile": -0.1}, "calibration_quantile must lie between 0 and 1"),
         ({"calibration_reps": 0}, "calibration_reps must be >= 1"),
-        ({"calibration_safety": -1.0}, "calibration_safety must be positive"),
-        ({"calibration_safety": 0.0}, "calibration_safety must be positive"),
         ({"risk_multipliers": ()}, "risk_multipliers must be nonempty and positive"),
         ({"risk_multipliers": (1.0, -0.5)}, "risk_multipliers must be nonempty and positive"),
         ({"risk_multipliers": (1.0, 0.0)}, "risk_multipliers must be nonempty and positive"),
         # NaN compares false, so a `<= 0` check lets it through
-        ({"calibration_safety": math.nan}, "calibration_safety must be positive"),
         ({"risk_multipliers": (1.0, math.nan)}, "risk_multipliers must be nonempty and positive"),
         ({"delta_n": math.nan}, "delta_n must be finite and positive"),
         ({"t_sweep": (20.0, math.inf)}, "t_sweep must be nonempty with finite positive horizons"),
     ]
+    # the subweibull rules need log(1/delta_n) > 0; other regimes take any mesh
+    subweibull = LevyRegime(tag="subweibull", sigma=np.eye(4), jump_rate=1.0, jump_scale=0.5)
+    for delta_n in (1.0, 1.5, 3.0):
+        bad.append((
+            {"regime": replace(subweibull, alpha=1.5), "delta_n": delta_n},
+            f"delta_n must be below 1 in the subweibull regime .*got {delta_n:g}",
+        ))
+        tiny_config(tmp_path, delta_n=delta_n)
+    tiny_config(tmp_path, regime=subweibull, delta_n=0.999)
     for overrides, message in bad:
         with pytest.raises(ValueError, match=message):
             tiny_config(tmp_path, **overrides)

@@ -40,7 +40,7 @@ def test_generate_margin_is_the_final_drifts_exactly(d):
         assert model.stability_margin == float(np.min(np.linalg.eigvals(model.a0).real))
 
 
-def _sparse_offdiag_by_enumeration(d, r, s, seed, sparse_magnitude=(0.3, 1.0)):
+def _sparse_offdiag_by_enumeration(d, r, s, seed):
     """generate_drift's sparse draws replayed on the list of off-diagonal
     positions: the reference for its index arithmetic."""
     rng = np.random.default_rng(seed)
@@ -52,10 +52,9 @@ def _sparse_offdiag_by_enumeration(d, r, s, seed, sparse_magnitude=(0.3, 1.0)):
     n_off = min(s, len(off_positions))
     out = np.zeros((d, d))
     if n_off > 0:
-        lo, hi = sparse_magnitude
         for idx in rng.choice(len(off_positions), size=n_off, replace=False):
             i, j = off_positions[idx]
-            out[i, j] = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
+            out[i, j] = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
     return out
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oudrift.simulate as simulate
 from oudrift.models import generate_drift
 from oudrift.simulate import (
     LevyRegime,
@@ -429,6 +430,44 @@ def test_simulation_blowup_in_burn_in_raises():
         warnings.simplefilter("error")
         with pytest.raises(SimulationBlowupError, match="burn-in"):
             simulate_path(model, regime, cfg)
+
+
+def _count_scans(monkeypatch) -> list:
+    """Record every call of simulate's `_first_bad_row` in the returned list."""
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return _first_bad_row(states)
+
+    monkeypatch.setattr(simulate, "_first_bad_row", counted)
+    return calls
+
+
+def test_healthy_path_skips_the_row_scan(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    model = generate_drift(d=4, r=1, s=4, seed=2, spectral_floor=0.5)
+    for regime, burn_in in [
+        (LevyRegime(tag="continuous", sigma=np.eye(4)), None),
+        (LevyRegime(tag="polymoment", sigma=0.5 * np.eye(4), jump_rate=1.0, jump_scale=0.5), 0.0),
+    ]:
+        cfg = PathConfig(delta_n=0.1, n_obs=500, burn_in_time=burn_in, seed=4)
+        simulate_path(model, regime, cfg)
+    assert calls == []
+
+
+def test_row_norm_at_the_guard_with_entries_inside_raises_nothing(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    model = generate_drift(4, 0, 0, seed=3, spectral_floor=0.5)  # a0 = I / 2
+    regime = LevyRegime(tag="continuous", sigma=np.eye(4))
+    cfg = PathConfig(delta_n=0.1, n_obs=20, burn_in_time=0.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs = simulate_path(model, regime, cfg, x0=np.full(4, 0.9e12))
+    # row 0 has norm 1.8e12, past the guard, and max |x| 0.9e12, inside it
+    assert obs.state_norms_sq[0] >= OVERFLOW_GUARD**2
+    assert np.max(np.abs(obs.states)) < OVERFLOW_GUARD
+    assert calls  # the norms sent the path to the exact scan, which passed it
 
 
 def test_empirical_trunc_moment():

@@ -191,6 +191,14 @@ def test_gamma_factor_rules():
     assert gamma_factor(bound, 0.1) == 1.0
     assert gamma_factor(subw, 0.1) == pytest.approx((1 + math.log(10.0)) ** 1.0)
     assert gamma_factor(poly, 0.1) == pytest.approx(0.1 ** (-0.5))
+    # the sub-Weibull rule needs log(1/delta_n) > 0: past delta_n = e it
+    # would be complex, so every delta_n >= 1 is refused by name
+    subw = replace(subw, alpha=1.5)
+    for delta_n in (1.0, 1.5, math.e, 3.0):
+        with pytest.raises(ValueError, match="delta_n must be below 1"):
+            gamma_factor(subw, delta_n)
+    for regime in (cont, bound, poly):
+        assert isinstance(gamma_factor(regime, 3.0), float)
 
 
 def test_huge_lambdas_give_zero_solution():
