@@ -146,6 +146,19 @@ class LocalizationRule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep: regime is the driving noise; d, r, s the drift's dimension,
+    the rank of L0 and the support size of S0.  Each horizon of t_sweep is
+    sampled at mesh delta_n with `substeps` Euler substeps per window, in
+    `replicates` rows; seed_base roots every seed.  fixed_tuning=None
+    calibrates the penalty constants on calibration_reps pilots at the
+    longest horizon, with gamma = gamma_factor(regime, delta_n) and the
+    multiplier chosen from risk_multipliers (`calibrate_tuning`); a
+    TuningConfig is used exactly as given, gamma included, for the solver
+    and the certificates alike, and no pilot runs.  solver is the stopping
+    rule, localization the radius and truncation multipliers, lowrank_scale
+    the scale of L0's spectrum; output_dir and name place the output files.
+    """
+
     regime: LevyRegime
     d: int
     r: int
@@ -156,13 +169,11 @@ class ExperimentConfig:
     replicates: int = 20
     seed_base: int = 0
     localization: LocalizationRule = field(default_factory=LocalizationRule)
-    tuning: TuningConfig = field(default_factory=TuningConfig)
+    fixed_tuning: Optional[TuningConfig] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: str = "results"
     name: str = "experiment"
     lowrank_scale: float = 1.0
-    gamma_auto: bool = True          # derive gamma from the regime and mesh
-    calibrate: bool = True           # pilot-calibrate c_op, c_one per run
     calibration_reps: int = 30
     risk_multipliers: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
@@ -238,12 +249,6 @@ def regime_preset(name: str) -> ExperimentConfig:
     )
 
 
-def _resolved_gamma(cfg: ExperimentConfig) -> float:
-    if cfg.gamma_auto:
-        return gamma_factor(cfg.regime, cfg.delta_n)
-    return cfg.tuning.gamma_value
-
-
 def _replicate_data(cfg: ExperimentConfig, t: float, seed: int):
     """Drift, path, localization and contrast context of the replicate (or
     calibration pilot) with this seed at horizon t.
@@ -282,12 +287,13 @@ class Calibration:
     multiplier and drives the estimator; the quantile constants are known to
     oversmooth.  risk_curve holds one {"multiplier", "risk", "iterations"}
     per multiplier tried: the mean pilot squared error (None when a solve
-    diverged) and the solver iterations its pilot solves took.
+    diverged) and the solver iterations its pilot solves took.  A fixed
+    tuning is both tunings at multiplier 1.0, with no curve.
     """
 
     cert_tuning: TuningConfig
     solver_tuning: TuningConfig
-    risk_multiplier: float
+    risk_multiplier: float = 1.0
     failed_pilots: tuple = ()  # ({"pilot", "seed", "error"}, ...) dropped pilots
     risk_curve: tuple = ()
 
@@ -304,14 +310,6 @@ def _error_message(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _uncalibrated(cfg: ExperimentConfig, failed_pilots: tuple = ()) -> Calibration:
-    """The configured constants, with gamma resolved; no pilots consulted."""
-    tun = replace(cfg.tuning, gamma_value=_resolved_gamma(cfg))
-    return Calibration(
-        cert_tuning=tun, solver_tuning=tun, risk_multiplier=1.0, failed_pilots=failed_pilots
-    )
-
-
 def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     """Calibrate penalty constants on pilot replicates at the longest horizon.
 
@@ -321,14 +319,15 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     headroom that absorbs the quantile estimate's own sampling noise.
     Stage 2 rescales both constants by the multiplier of
     cfg.risk_multipliers minimizing the mean pilot squared error (the
-    earlier multiplier wins a tie).
+    earlier multiplier wins a tie, and the first one is kept, with a
+    logged warning, when none scores a finite risk).  gamma is
+    gamma_factor(cfg.regime, cfg.delta_n); cfg.fixed_tuning is not read.
 
     The multipliers, in their configured order (largest first by default),
     form a continuation path: each pilot's solve at a multiplier starts from
-    that pilot's most recent solution (the first from cfg.solver's own
-    start), which cuts the solver iterations.  The warm starts stay inside
-    calibration; replicates start from the least-squares drift instead
-    (`run_single`).
+    that pilot's most recent solution (the first from zero), which cuts the
+    solver iterations.  The warm starts stay inside calibration; replicates
+    start from the least-squares drift instead (`run_single`).
 
     A pilot whose generation, simulation or localization fails is logged and
     dropped (`failed_pilots`); a multiplier whose solve diverges on some pilot
@@ -337,7 +336,7 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     when no pilot survives.
     """
     t = max(cfg.t_sweep)
-    gamma = _resolved_gamma(cfg)
+    gamma = gamma_factor(cfg.regime, cfg.delta_n)
     op_norms = []
     inf_norms = []
     pilots = []
@@ -362,17 +361,16 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     q_op = float(np.quantile(op_norms, _CALIBRATION_QUANTILE))
     q_inf = float(np.quantile(inf_norms, _CALIBRATION_QUANTILE))
     log_d = math.log(cfg.d)
-    cert = replace(
-        cfg.tuning,
+    cert = TuningConfig(
         c_op=_CALIBRATION_SAFETY * q_op * math.sqrt(t / (gamma * log_d)),
         c_one=_CALIBRATION_SAFETY * q_inf * math.sqrt(t / (2.0 * gamma * log_d)),
         gamma_value=gamma,
     )
 
-    best_mult = 1.0
+    best_mult = cfg.risk_multipliers[0]
     best_risk = math.inf
     risk_curve = []
-    starts = [cfg.solver] * len(pilots)  # per pilot: solver config with its warm start
+    starts = [None] * len(pilots)  # per pilot: its last (l_hat, s_hat), if any
     for mult in cfg.risk_multipliers:
         tun = replace(cert, c_op=cert.c_op * mult, c_one=cert.c_one * mult)
         lambdas = tune_lambdas(cfg.d, t, tun)
@@ -380,12 +378,12 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
         iterations = 0
         for k, (model, ctx) in enumerate(pilots):
             try:
-                result = solve(ctx, lambdas, starts[k])
+                result = solve(ctx, lambdas, cfg.solver, start=starts[k])
             except DivergenceError as exc:
                 logger.warning("calibration multiplier %g scored inf: %s", mult, exc)
                 risk = math.inf
                 break
-            starts[k] = replace(cfg.solver, l_init=result.l_hat, s_init=result.s_hat)
+            starts[k] = (result.l_hat, result.s_hat)
             iterations += result.iterations
             diff = result.a_hat - model.a0
             risk += float(np.sum(diff * diff))
@@ -397,6 +395,8 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
         if risk < best_risk:
             best_risk = risk
             best_mult = float(mult)
+    if math.isinf(best_risk):
+        logger.warning("no risk multiplier scored a finite pilot risk; using %g", best_mult)
     solver_tuning = replace(
         cert, c_op=cert.c_op * best_mult, c_one=cert.c_one * best_mult
     )
@@ -406,9 +406,9 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     )
 
 
-def _least_squares_start(ctx, solver: SolverConfig) -> SolverConfig:
-    """`solver` with the replicate's solve started from (0, A_LS), A_LS the
-    contrast's unpenalized minimizer: it solves the normal equations
+def _least_squares_start(ctx) -> Optional[tuple]:
+    """The start (0, A_LS) of a replicate's solve, A_LS the contrast's
+    unpenalized minimizer: it solves the normal equations
     a c_n = -m1 / delta_n.  FISTA's step count grows with the distance from
     the start to the solution, and A_LS is near it when its error is small.
 
@@ -420,35 +420,32 @@ def _least_squares_start(ctx, solver: SolverConfig) -> SolverConfig:
     drift than zero is.  Short horizons and rank-deficient c_n (fewer
     active rows than d) fail this test.
 
-    Returns `solver` itself when it sets a warm start, when c_n is
-    numerically singular or when A_LS fails the test above (non-finite
-    values included): a replicate never fails for its start.
+    Returns None, the zero start, when c_n is numerically singular or when
+    A_LS fails the test above (non-finite values included): a replicate
+    never fails for its start.
     """
-    if solver.l_init is not None or solver.s_init is not None:
-        return solver
     dn = ctx.delta_n
     try:
         eigs = ctx.c_n_eigvals
         if not eigs[0] > ctx.d * np.finfo(float).eps * eigs[-1]:
-            return solver
+            return None
         # c_n is symmetric, so a = -(c_n^{-1} m1^T)^T / delta_n
         a_ls = -np.linalg.solve(ctx.c_n, ctx.m1.T).T / dn
     except np.linalg.LinAlgError:
-        return solver
+        return None
     error_sq = ctx.s0 * float(np.sum(1.0 / eigs)) / (ctx.n * dn * dn)
     if not error_sq < 0.5 * float(np.vdot(a_ls, a_ls)):
-        return solver
-    return replace(solver, l_init=np.zeros_like(a_ls), s_init=a_ls)
+        return None
+    return np.zeros_like(a_ls), a_ls
 
 
 def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) -> dict:
     """One replicate: generate, simulate, estimate, certify; returns a row.
 
-    Unless cfg.solver sets a warm start, the solve starts from the
-    least-squares drift in the sparse block and zero in the low-rank block
-    (`_least_squares_start`); it falls back to cfg.solver's zero start when
-    c_n is numerically singular or that drift's estimated error is not
-    below half its squared norm.
+    The solve starts from the least-squares drift in the sparse block and
+    zero in the low-rank block (`_least_squares_start`); it falls back to
+    the zero start when c_n is numerically singular or that drift's
+    estimated error is not below half its squared norm.
     """
     start = time.perf_counter()
     seed = derive_seed(cfg.seed_base, "row", t, rep)
@@ -467,7 +464,7 @@ def run_single(cfg: ExperimentConfig, calib: Calibration, t: float, rep: int) ->
     cert_lambdas = tune_lambdas(cfg.d, t, calib.cert_tuning)
     try:
         model, obs, loc, ctx = _replicate_data(cfg, t, seed)
-        result = solve(ctx, lambdas, _least_squares_start(ctx, cfg.solver))
+        result = solve(ctx, lambdas, cfg.solver, start=_least_squares_start(ctx))
     except _REPLICATE_ERRORS as exc:
         message = _error_message(exc)
         return {**dict.fromkeys(RESULT_COLUMNS, ""), **row, "failed": 1, "error": message}
@@ -526,21 +523,24 @@ def run_experiment(
 
     The output directory resolves as: explicit `out_dir` argument, else the
     OUDRIFT_OUT environment variable, else cfg.output_dir.  Failed replicates
-    are flagged rows, never dropped.  When every calibration pilot fails, the
-    sweep runs with the uncalibrated tuning (as with calibrate=False); the
-    manifest lists the failed pilots.  Returns the results path.
+    are flagged rows, never dropped.  cfg.fixed_tuning, when set, is the
+    tuning and no pilot runs; otherwise it is calibrated (`calibrate_tuning`).
+    When every calibration pilot fails, the sweep runs with the default
+    constants and gamma_factor(regime, delta_n); the manifest lists the
+    failed pilots.  Returns the results path.
     """
     target = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
 
-    if cfg.calibrate:
+    if cfg.fixed_tuning is not None:
+        calib = Calibration(cfg.fixed_tuning, cfg.fixed_tuning)
+    else:
         try:
             calib = calibrate_tuning(cfg)
         except CalibrationError as exc:
-            logger.warning("%s; sweeping with the uncalibrated tuning", exc)
-            calib = _uncalibrated(cfg, exc.failed_pilots)
-    else:
-        calib = _uncalibrated(cfg)
+            logger.warning("%s; sweeping with the default constants", exc)
+            tun = TuningConfig(gamma_value=gamma_factor(cfg.regime, cfg.delta_n))
+            calib = Calibration(tun, tun, failed_pilots=exc.failed_pilots)
 
     jobs = [(cfg, calib, t, rep) for t in cfg.t_sweep for rep in range(cfg.replicates)]
     if parallel > 1:  # both maps yield the rows in job order
@@ -561,7 +561,6 @@ def run_experiment(
             "c_op": calib.solver_tuning.c_op,
             "c_one": calib.solver_tuning.c_one,
             "gamma_value": calib.solver_tuning.gamma_value,
-            "explicit_lambdas": calib.solver_tuning.explicit_lambdas,
         },
         "cert_tuning": {
             "c_op": calib.cert_tuning.c_op,
@@ -754,9 +753,12 @@ def _cast(hint, value, key: str):
     try:
         if hint is np.ndarray:
             return np.array(value, dtype=float)
-        # bool() and int() would take "false" as True and 2.9 as 2
-        if hint is bool and not isinstance(value, bool):
-            raise ValueError(f"expected true or false, got {value!r}")
+        # a JSON true is an int to Python, so int() and float() would take
+        # it as 1; int() would take 2.9 as 2, and str() would take anything
+        if hint is str and not isinstance(value, str):
+            raise ValueError(f"expected a string, got {value!r}")
+        if hint is float and isinstance(value, bool):
+            raise ValueError(f"expected a number, got {value!r}")
         if hint is int and (
             isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
         ):
@@ -776,7 +778,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     Raises ValueError naming the key path of an unknown key at any level or
     of a missing required field (a retired key is an unknown key); missing
-    optional keys (for example the solver warm starts in older manifests)
-    take their defaults.
+    optional keys take their defaults.
     """
     return _from_json(ExperimentConfig, doc)

@@ -56,12 +56,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuningConfig:
-    """Constants of the penalty-level rule; explicit_lambdas overrides it."""
+    """Constants of the penalty-level rule (`tune_lambdas`)."""
 
     c_op: float = 1.0
     c_one: float = 1.0
     gamma_value: float = 1.0
-    explicit_lambdas: Optional[tuple] = None
 
     def __post_init__(self):
         # `0 < x < inf` also rejects NaN, which passes every `<= 0` check
@@ -69,19 +68,12 @@ class TuningConfig:
             raise ValueError("c_op and c_one must be finite and positive")
         if not 0 < self.gamma_value < math.inf:
             raise ValueError("gamma_value must be finite and positive")
-        if self.explicit_lambdas is not None:
-            ls, l1 = self.explicit_lambdas
-            if not (0 < ls < math.inf and 0 < l1 < math.inf):
-                raise ValueError("explicit lambdas must be finite and positive")
-            object.__setattr__(self, "explicit_lambdas", (float(ls), float(l1)))
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
     tol: float = 1e-8               # relative objective decrease
-    l_init: Optional[np.ndarray] = None
-    s_init: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -106,7 +98,7 @@ def gamma_factor(regime: LevyRegime, delta_n: float) -> float:
     Constant for continuous and bounded-jump noise, poly-logarithmic in
     1/delta_n for sub-Weibull tails (defined for delta_n < 1, where
     log(1/delta_n) > 0), polynomial for p-th moment tails.  Configurable
-    placeholder rules; override via TuningConfig.gamma_value.
+    placeholder rules; a fixed TuningConfig sets its own gamma_value.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -127,8 +119,6 @@ def tune_lambdas(d: int, t_horizon: float, tuning: TuningConfig) -> tuple:
     lambda_star = 2 c_op sqrt(gamma log(d) / T),
     lambda_one  = 2 c_one sqrt(gamma log(d^2) / T).
     """
-    if tuning.explicit_lambdas is not None:
-        return tuning.explicit_lambdas
     if d < 2:
         raise ValueError("need d >= 2 for a positive log d")
     if t_horizon <= 0:
@@ -140,7 +130,7 @@ def tune_lambdas(d: int, t_horizon: float, tuning: TuningConfig) -> tuple:
 
 
 def _start(value, name: str, d: int) -> np.ndarray:
-    """A (d, d) starting block from SolverConfig; zeros when unset."""
+    """A (d, d) block of `solve`'s start, copied; zeros when None."""
     if value is None:
         return np.zeros((d, d))
     m = np.array(value, dtype=float)
@@ -201,6 +191,7 @@ def solve(
     ctx: ContrastContext,
     lambdas: tuple,
     cfg: SolverConfig = SolverConfig(),
+    start: Optional[tuple] = None,
 ) -> EstimateResult:
     """Minimize the penalized contrast over the pair (L, S).
 
@@ -214,11 +205,11 @@ def solve(
     momentum instead: only a step from the current iterate may stop on a
     tie.
 
-    The iteration starts from (cfg.l_init, cfg.s_init), zeros where unset;
-    each must be a finite (d, d) matrix (ValueError naming the field
-    otherwise), and is copied, never modified.  A warm start changes where
-    the iteration starts, not the problem: near a previous solution it
-    reaches the tol stop in fewer iterations.  Raises DivergenceError when
+    The iteration starts from start = (l_init, s_init), zeros when start
+    is None; each block must be a finite (d, d) matrix (ValueError naming
+    it otherwise), and is copied, never modified.  A warm start changes
+    where the iteration starts, not the problem: near a previous solution
+    it reaches the tol stop in fewer iterations.  Raises DivergenceError when
     the objective is non-finite at the start, at an extrapolated point or
     at a trial point, or when a gradient overflows.
 
@@ -227,19 +218,20 @@ def solve(
     point, shared by the loss and the gradient there (the loss is exactly
     quadratic; a step from the current iterate reuses the product the
     previous step computed), and plain array passes.  Element-wise
-    validation happens only at the public boundary (the warm starts and the
+    validation happens only at the public boundary (the start and the
     initial objective); in the loop, a scalar finiteness check of the loss
     at each start and trial point keeps the kernels' inputs finite.
     """
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
-    if lam_star < 0 or lam_one < 0:
-        raise ValueError("penalty levels must be nonnegative")
+    if not (0 <= lam_star < math.inf and 0 <= lam_one < math.inf):
+        raise ValueError("penalty levels must be finite and nonnegative")
     d = ctx.d
     dn = ctx.delta_n
     c_n = ctx.c_n
 
-    l_cur = _start(cfg.l_init, "l_init", d)
-    s_cur = _start(cfg.s_init, "s_init", d)
+    l_init, s_init = (None, None) if start is None else start
+    l_cur = _start(l_init, "l_init", d)
+    s_cur = _start(s_init, "s_init", d)
 
     lip = 2.0 * dn * dn * float(ctx.c_n_eigvals[-1])
     tau = 1.0 / lip if lip > 0 else 1.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -25,6 +26,10 @@ from oudrift.simulate import LevyRegime, SimulationBlowupError, _sample_incremen
 from oudrift.solver import DivergenceError, SolverConfig, TuningConfig
 
 
+# penalty levels near (0.02, 0.01) at d = 4, T = 20
+TINY_TUNING = TuningConfig(c_op=0.038, c_one=0.0134)
+
+
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     d = 4
     base = dict(
@@ -37,11 +42,10 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
         substeps=2,
         replicates=2,
         seed_base=7,
-        tuning=TuningConfig(explicit_lambdas=(0.02, 0.01)),
+        fixed_tuning=TINY_TUNING,
         solver=SolverConfig(max_iters=500),
         output_dir=str(tmp_path),
         name="tiny",
-        calibrate=False,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -50,7 +54,7 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
 def test_preset_contents():
     cont = regime_preset("continuous")
     assert cont.regime.tag == "continuous"
-    assert cont.gamma_auto
+    assert cont.fixed_tuning is None
     poly = regime_preset("polymoment")
     assert poly.regime.tag == "polymoment"
     assert poly.regime.p == 4.0
@@ -65,14 +69,12 @@ def test_preset_contents():
 
 def test_config_json_round_trip_identity():
     base = regime_preset("bounded")
-    d = base.d
-    # no sigma, explicit lambdas, other localization multipliers and both warm starts
+    # no sigma, fixed constants and other localization multipliers
     explicit = replace(
         base,
         regime=replace(base.regime, sigma=None),
         localization=replace(base.localization, radius_mult=11.0, eta_mult=2.5),
-        tuning=replace(base.tuning, explicit_lambdas=(0.2, 0.05)),
-        solver=replace(base.solver, l_init=np.eye(d) / 7.0, s_init=np.ones((d, d))),
+        fixed_tuning=TuningConfig(c_op=0.2, c_one=0.05, gamma_value=3.0),
     )
     names = ("continuous", "bounded", "subweibull", "polymoment")
     for cfg in [regime_preset(name) for name in names] + [explicit]:
@@ -90,7 +92,7 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc["regime"].pop("tag"), "missing config key 'regime.tag'"),
         (lambda doc: doc.update(d="ten"), "config key 'd': invalid literal"),
         (lambda doc: doc.update(solver=5), "config key 'solver' must be an object"),
-        (lambda doc: doc.update(calibrate="false"), "config key 'calibrate': expected true or false"),
+        (lambda doc: doc.update(name=True), "config key 'name': expected a string, got True"),
         (lambda doc: doc.update(replicates=2.9), "config key 'replicates': expected an integer"),
         (lambda doc: doc["solver"].update(acceleration=True), "unknown config key 'solver.acceleration'"),
         # fixed constants now: a config or an older manifest that sets one is rejected
@@ -98,6 +100,21 @@ def test_config_json_round_trip_identity():
         (lambda doc: doc.update(calibration_safety=1.25), "unknown config key 'calibration_safety'"),
         (lambda doc: doc.update(sparse_magnitude=[0.3, 1.0]), "unknown config key 'sparse_magnitude'"),
         (lambda doc: doc.update(spectral_floor=0.5), "unknown config key 'spectral_floor'"),
+        # one field decides the tuning, and solver starts are arguments of solve
+        (lambda doc: doc.update(calibrate=False), "unknown config key 'calibrate'"),
+        (lambda doc: doc.update(gamma_auto=True), "unknown config key 'gamma_auto'"),
+        (lambda doc: doc.update(tuning={"c_op": 1.0}), "unknown config key 'tuning'"),
+        (lambda doc: doc["solver"].update(l_init=None), "unknown config key 'solver.l_init'"),
+        (lambda doc: doc["solver"].update(s_init=None), "unknown config key 'solver.s_init'"),
+        (
+            lambda doc: doc.update(fixed_tuning={"explicit_lambdas": [0.1, 0.1]}),
+            "unknown config key 'fixed_tuning.explicit_lambdas'",
+        ),
+        # JSON true is 1 to Python; str() would take any value
+        (lambda doc: doc.update(delta_n=True), "config key 'delta_n': expected a number, got True"),
+        (lambda doc: doc["solver"].update(tol=True), "config key 'solver.tol': expected a number"),
+        (lambda doc: doc.update(name=5), "config key 'name': expected a string, got 5"),
+        (lambda doc: doc["regime"].update(tag=1), "config key 'regime.tag': expected a string"),
         # JSON writes and reads NaN, which a `<= 0` check lets through
         (lambda doc: doc["solver"].update(tol=float("nan")), "tol must be finite and positive"),
         # log d = 0 would divide by zero in calibration, after every pilot ran
@@ -112,7 +129,10 @@ def test_config_json_round_trip_identity():
         "unknown", "unknown-nested", "missing", "missing-nested", "bad-value", "not-object",
         "bool-string", "int-fraction", "retired", "retired-calibration_quantile",
         "retired-calibration_safety", "retired-sparse_magnitude", "retired-spectral_floor",
-        "tol-nan", "d-below-2", "subweibull-delta-n",
+        "retired-calibrate", "retired-gamma_auto", "retired-tuning", "retired-solver.l_init",
+        "retired-solver.s_init", "retired-fixed_tuning.explicit_lambdas", "bool-float",
+        "bool-float-nested", "int-string", "int-string-nested", "tol-nan", "d-below-2",
+        "subweibull-delta-n",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, edit, message):
@@ -158,19 +178,15 @@ def test_localization_rule_rejects_out_of_range(tmp_path, capsys, key, value):
     _assert_run_rejects(tmp_path, capsys, doc, key)
 
 
-def test_config_round_trip_keeps_solver_warm_start():
+def test_config_round_trip_keeps_fixed_tuning_null():
     base = regime_preset("bounded")
-    l_init = np.arange(base.d * base.d, dtype=float).reshape(base.d, base.d) / 7.0
-    cfg = replace(base, solver=replace(base.solver, l_init=l_init))
-    doc = json.loads(json.dumps(config_to_dict(cfg)))
-    assert doc["solver"]["s_init"] is None
-    back = config_from_dict(doc)
-    np.testing.assert_array_equal(back.solver.l_init, l_init)
-    assert back.solver.s_init is None
-    # a manifest written before the warm starts were stored reads as None
-    del doc["solver"]["l_init"], doc["solver"]["s_init"]
-    old = config_from_dict(doc)
-    assert old.solver.l_init is None and old.solver.s_init is None
+    doc = json.loads(json.dumps(config_to_dict(base)))
+    assert doc["fixed_tuning"] is None
+    assert config_from_dict(doc).fixed_tuning is None
+    del doc["fixed_tuning"]  # a missing key takes the default: calibrate
+    assert config_from_dict(doc).fixed_tuning is None
+    doc["fixed_tuning"] = {"c_op": 0.5}
+    assert config_from_dict(doc).fixed_tuning == TuningConfig(c_op=0.5)
 
 
 def test_total_noise_cov_matches_sampler():
@@ -246,7 +262,7 @@ def test_run_experiment_flags_a_path_that_never_moves(tmp_path, calibrate):
     # data-driven radius and truncation level are zero
     cfg = tiny_config(
         tmp_path, regime=LevyRegime(tag="bounded", sigma=None, jump_rate=0.001),
-        t_sweep=(5.0,), calibrate=calibrate, calibration_reps=2,
+        t_sweep=(5.0,), fixed_tuning=None if calibrate else TINY_TUNING, calibration_reps=2,
     )
     path = run_experiment(cfg)
     with open(path) as fh:
@@ -296,7 +312,8 @@ def test_run_experiment_flags_generation_and_divergence_errors(tmp_path, monkeyp
 def test_calibration_without_surviving_pilots_falls_back(tmp_path):
     # every pilot (and every replicate) blows up on this mesh
     cfg = tiny_config(
-        tmp_path, delta_n=50.0, substeps=1, t_sweep=(500.0,), calibrate=True, calibration_reps=3
+        tmp_path, delta_n=50.0, substeps=1, t_sweep=(500.0,), fixed_tuning=None,
+        calibration_reps=3,
     )
     path = run_experiment(cfg)
     with open(path) as fh:
@@ -307,13 +324,14 @@ def test_calibration_without_surviving_pilots_falls_back(tmp_path):
     failed = manifest["calibration_failed_pilots"]
     assert [f["pilot"] for f in failed] == [0, 1, 2]
     assert all(f["error"].startswith("SimulationBlowupError") for f in failed)
+    # the default constants, gamma from the regime and mesh
     assert manifest["risk_multiplier"] == 1.0
-    assert manifest["tuning_used"]["c_op"] == cfg.tuning.c_op
+    assert manifest["tuning_used"] == {"c_op": 1.0, "c_one": 1.0, "gamma_value": 1.0}
 
 
 def test_calibration_drops_a_failed_pilot(tmp_path, monkeypatch):
     _raise_on_first_call(monkeypatch, "simulate_path", SimulationBlowupError("pilot blew up"))
-    cfg = tiny_config(tmp_path, t_sweep=(20.0,), calibrate=True, calibration_reps=3)
+    cfg = tiny_config(tmp_path, t_sweep=(20.0,), fixed_tuning=None, calibration_reps=3)
     path = run_experiment(cfg)
     with open(path) as fh:
         assert all(r["failed"] == "0" for r in csv.DictReader(fh))
@@ -323,20 +341,62 @@ def test_calibration_drops_a_failed_pilot(tmp_path, monkeypatch):
 
 
 def test_calibration_scores_a_diverging_multiplier_as_inf(tmp_path, monkeypatch):
-    # explicit lambdas make every multiplier's risk equal, so 1.0 would win the tie
     _raise_on_first_call(monkeypatch, "solve", DivergenceError("objective non-finite"))
     cfg = tiny_config(
-        tmp_path, t_sweep=(20.0,), calibrate=True, calibration_reps=2, risk_multipliers=(1.0, 0.5)
+        tmp_path, t_sweep=(20.0,), fixed_tuning=None, calibration_reps=2,
+        risk_multipliers=(1.0, 0.5),
     )
     calib = experiment.calibrate_tuning(cfg)
     assert calib.risk_multiplier == 0.5
     assert calib.failed_pilots == ()
 
 
+def test_calibration_keeps_the_first_multiplier_when_none_scores(tmp_path, monkeypatch, caplog):
+    # 1.0 is not on this grid: every multiplier diverging must not report it
+    def diverging(*args, **kwargs):
+        raise DivergenceError("forced")
+
+    monkeypatch.setattr(experiment, "solve", diverging)
+    cfg = tiny_config(
+        tmp_path, t_sweep=(20.0,), fixed_tuning=None, calibration_reps=2,
+        risk_multipliers=(0.5, 0.25),
+    )
+    with caplog.at_level(logging.WARNING, logger="oudrift.experiment"):
+        calib = experiment.calibrate_tuning(cfg)
+    assert calib.risk_multiplier == 0.5
+    assert [e["risk"] for e in calib.risk_curve] == [None, None]
+    assert calib.solver_tuning.c_op == 0.5 * calib.cert_tuning.c_op
+    assert "no risk multiplier scored a finite pilot risk; using 0.5" in caplog.text
+
+
+def test_fixed_tuning_runs_no_pilot(tmp_path, monkeypatch):
+    # the constants are used as given, gamma included (the regime's is 1.0)
+    def no_calibration(cfg):
+        raise AssertionError("calibrate_tuning called")
+
+    monkeypatch.setattr(experiment, "calibrate_tuning", no_calibration)
+    tuning = TuningConfig(c_op=0.03, c_one=0.01, gamma_value=2.0)
+    cfg = tiny_config(tmp_path, fixed_tuning=tuning)
+    path = run_experiment(cfg)
+    manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+    assert manifest["tuning_used"] == {"c_op": 0.03, "c_one": 0.01, "gamma_value": 2.0}
+    assert manifest["cert_tuning"] == {"c_op": 0.03, "c_one": 0.01}
+    assert manifest["risk_multiplier"] == 1.0
+    assert manifest["calibration_risk_curve"] == []
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(r["failed"] == "0" for r in rows)
+    for r in rows:
+        lam = experiment.tune_lambdas(cfg.d, float(r["t_horizon"]), tuning)
+        assert float(r["gamma_value"]) == 2.0
+        assert (float(r["lambda_star"]), float(r["lambda_one"])) == lam
+        assert (float(r["cert_lambda_star"]), float(r["cert_lambda_one"])) == lam
+
+
 def calibrated_config(tmp_path, **overrides) -> ExperimentConfig:
     """Three pilots along three multipliers, with the penalty rule in use."""
     base = dict(
-        t_sweep=(20.0,), calibrate=True, calibration_reps=3, tuning=TuningConfig(),
+        t_sweep=(20.0,), fixed_tuning=None, calibration_reps=3,
         risk_multipliers=(1.0, 0.5, 0.25),
     )
     base.update(overrides)
@@ -344,26 +404,25 @@ def calibrated_config(tmp_path, **overrides) -> ExperimentConfig:
 
 
 def _record_solves(monkeypatch, fail_at=()):
-    """Record (ctx, solver config, result) of each solve; the calls numbered
-    in fail_at raise DivergenceError instead (result None)."""
+    """Record (ctx, start, result) of each solve; the calls numbered in
+    fail_at raise DivergenceError instead (result None)."""
     real = experiment.solve
     calls = []
 
-    def recording(ctx, lambdas, cfg):
+    def recording(ctx, lambdas, cfg, start=None):
         if len(calls) in fail_at:
-            calls.append((ctx, cfg, None))
+            calls.append((ctx, start, None))
             raise DivergenceError("forced")
-        result = real(ctx, lambdas, cfg)
-        calls.append((ctx, cfg, result))
+        result = real(ctx, lambdas, cfg, start=start)
+        calls.append((ctx, start, result))
         return result
 
     monkeypatch.setattr(experiment, "solve", recording)
     return calls
 
 
-@pytest.mark.parametrize("l_init", [None, np.full((4, 4), 0.01)])
-def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, monkeypatch, l_init):
-    cfg = calibrated_config(tmp_path, solver=SolverConfig(max_iters=500, l_init=l_init))
+def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, monkeypatch):
+    cfg = calibrated_config(tmp_path)
     calls = _record_solves(monkeypatch)
     calib = experiment.calibrate_tuning(cfg)
     pilots = cfg.calibration_reps
@@ -371,35 +430,28 @@ def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, mon
     for k in range(pilots):
         own = calls[k::pilots]  # multiplier-outer: pilot k's solves, largest multiplier first
         assert all(ctx is own[0][0] for ctx, _, _ in own)
-        assert own[0][1] is cfg.solver
+        assert own[0][1] is None
         for (_, _, prev), (_, start, _) in zip(own, own[1:]):
-            assert start.l_init is prev.l_hat and start.s_init is prev.s_hat
-            assert replace(start, l_init=l_init, s_init=None) == cfg.solver
+            assert start[0] is prev.l_hat and start[1] is prev.s_hat
 
-    # replicates never start from a pilot's solution: a configured warm start
-    # is used as it is, otherwise the solve starts from (0, A_LS)
+    # replicates never start from a pilot's solution: they start from (0, A_LS)
     del calls[:]
     experiment.run_single(cfg, calib, 20.0, 0)
     assert len(calls) == 1
     ctx, start, _ = calls[0]
-    if l_init is not None:
-        assert start is cfg.solver
-        return
-    assert np.array_equal(start.l_init, np.zeros((cfg.d, cfg.d)))
+    assert np.array_equal(start[0], np.zeros((cfg.d, cfg.d)))
     a_ls = -ctx.m1 @ np.linalg.inv(ctx.c_n) / ctx.delta_n
-    np.testing.assert_allclose(start.s_init, a_ls, rtol=1e-10, atol=0)
-    assert replace(start, l_init=None, s_init=None) == cfg.solver
+    np.testing.assert_allclose(start[1], a_ls, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("preset", ["continuous", "polymoment"])
 def test_least_squares_start_solves_the_normal_equations(preset):
     cfg = regime_preset(preset)
     _, _, _, ctx = experiment._replicate_data(cfg, 250.0, 3)
-    start = experiment._least_squares_start(ctx, cfg.solver)
-    assert np.array_equal(start.l_init, np.zeros((cfg.d, cfg.d)))
+    l_init, s_init = experiment._least_squares_start(ctx)
+    assert np.array_equal(l_init, np.zeros((cfg.d, cfg.d)))
     rhs = ctx.m1 / ctx.delta_n  # A_LS c_n = -rhs, to 1e-12 of rhs's largest entry
-    assert np.max(np.abs(start.s_init @ ctx.c_n + rhs)) <= 1e-12 * np.max(np.abs(rhs))
-    assert replace(start, l_init=None, s_init=None) == cfg.solver
+    assert np.max(np.abs(s_init @ ctx.c_n + rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize(
@@ -408,20 +460,12 @@ def test_least_squares_start_solves_the_normal_equations(preset):
     ids=["singular", "overflowing"],
 )
 def test_least_squares_start_falls_back_to_the_configured_solver(c_n):
+    # the zero start (None), with which the configured solver still runs
     m1 = np.array([[0.0, 0.2, -0.5], [0.1, -0.3, 0.4], [0.0, 0.0, 2.0]])
     ctx = ContrastContext(d=3, delta_n=0.1, n=10, n_active=10, s0=1.0, m1=m1, c_n=c_n)
-    solver = SolverConfig(max_iters=200)
-    assert experiment._least_squares_start(ctx, solver) is solver
-    result = experiment.solve(ctx, (0.01, 0.01), solver)
+    assert experiment._least_squares_start(ctx) is None
+    result = experiment.solve(ctx, (0.01, 0.01), SolverConfig(max_iters=200))
     assert result.iterations >= 1 and np.all(np.isfinite(result.a_hat))
-
-
-@pytest.mark.parametrize("field_name", ["l_init", "s_init"])
-def test_least_squares_start_keeps_a_configured_warm_start(field_name):
-    cfg = regime_preset("bounded")
-    _, _, _, ctx = experiment._replicate_data(cfg, 100.0, 3)
-    solver = replace(cfg.solver, **{field_name: np.full((cfg.d, cfg.d), 0.01)})
-    assert experiment._least_squares_start(ctx, solver) is solver
 
 
 def test_c_n_is_decomposed_once_per_context(monkeypatch):
@@ -437,10 +481,10 @@ def test_c_n_is_decomposed_once_per_context(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    start = experiment._least_squares_start(ctx, cfg.solver)
-    assert start is not cfg.solver
-    for solver in (start, cfg.solver):
-        experiment.solve(ctx, (0.01, 0.01), solver)
+    start = experiment._least_squares_start(ctx)
+    assert start is not None
+    for s in (start, None):
+        experiment.solve(ctx, (0.01, 0.01), cfg.solver, start=s)
     rsc = experiment.verify_rsc(ctx)
     assert len(calls) == 1 and calls[0] is ctx.c_n
     assert rsc.min_eig_cn == eigvalsh(ctx.c_n)[0]
@@ -452,16 +496,16 @@ def test_c_n_is_decomposed_once_per_context(monkeypatch):
 def test_least_squares_and_zero_starts_reach_the_same_optimum(preset):
     # the start moves where the iteration begins, not the problem: solved to
     # tol=1e-14 from either start, objective and drift agree up to the stop's slack
-    cfg = replace(regime_preset(preset), calibrate=False)
+    cfg = regime_preset(preset)
     t = 250.0
     lambdas = experiment.tune_lambdas(cfg.d, t, experiment.calibrate_tuning(cfg).solver_tuning)
     tight = SolverConfig(max_iters=100000, tol=1e-14)
     for seed in range(3):
         _, _, _, ctx = experiment._replicate_data(cfg, t, seed)
-        start = experiment._least_squares_start(ctx, tight)
-        assert start is not tight
+        start = experiment._least_squares_start(ctx)
+        assert start is not None
         zero = experiment.solve(ctx, lambdas, tight)
-        least_squares = experiment.solve(ctx, lambdas, start)
+        least_squares = experiment.solve(ctx, lambdas, tight, start=start)
         assert zero.converged and least_squares.converged
         f_zero, f_ls = zero.objective_trace[-1], least_squares.objective_trace[-1]
         assert abs(f_ls - f_zero) <= 1e-10 * abs(f_zero)
@@ -474,13 +518,13 @@ def test_least_squares_start_is_not_taken_on_a_short_horizon(monkeypatch, t):
     # 8 observations at d=10 leave c_n rank-deficient; 30 leave it full rank
     # but A_LS mostly noise.  Either way the replicate runs from zero, as if
     # the least-squares start did not exist.
-    cfg = replace(regime_preset("polymoment"), calibrate=False, t_sweep=(t,))
+    cfg = replace(regime_preset("polymoment"), t_sweep=(t,))
     _, _, _, ctx = experiment._replicate_data(cfg, t, 3)
     assert (ctx.n_active < cfg.d) == (t < 1.0)
-    assert experiment._least_squares_start(ctx, cfg.solver) is cfg.solver
+    assert experiment._least_squares_start(ctx) is None
     calib = experiment.calibrate_tuning(cfg)
     row = experiment.run_single(cfg, calib, t, 0)
-    monkeypatch.setattr(experiment, "_least_squares_start", lambda ctx, solver: solver)
+    monkeypatch.setattr(experiment, "_least_squares_start", lambda ctx: None)
     zero_row = experiment.run_single(cfg, calib, t, 0)
     assert row["failed"] == 0 and row["converged"] == 1
     del row["wall_time_s"], zero_row["wall_time_s"]
@@ -494,9 +538,9 @@ def test_calibration_diverged_pilot_resumes_from_last_success(tmp_path, monkeypa
     calib = experiment.calibrate_tuning(cfg)
     assert len(calls) == 3 + 2 + 3
     first, second, third = calls[:3], calls[3:5], calls[5:]
-    assert third[0][1].l_init is second[0][2].l_hat  # pilot 0: from multiplier 0.5
-    assert third[1][1].l_init is first[1][2].l_hat   # pilot 1 diverged at 0.5: from 1.0
-    assert third[2][1].s_init is first[2][2].s_hat   # pilot 2 skipped at 0.5: from 1.0
+    assert third[0][1][0] is second[0][2].l_hat  # pilot 0: from multiplier 0.5
+    assert third[1][1][0] is first[1][2].l_hat   # pilot 1 diverged at 0.5: from 1.0
+    assert third[2][1][1] is first[2][2].s_hat   # pilot 2 skipped at 0.5: from 1.0
 
     curve = calib.risk_curve
     assert [set(e) for e in curve] == [{"multiplier", "risk", "iterations"}] * 3
@@ -571,8 +615,8 @@ def test_manifest_records_risk_curve_with_null_for_divergence(tmp_path, monkeypa
         r.iterations for _, _, r in calls[: 1 + 3 * (len(curve) - 1)] if r is not None
     )
     # the warm starts stay out of the recorded configuration
-    assert manifest["config"]["solver"]["l_init"] is None
-    assert manifest["config"]["solver"]["s_init"] is None
+    assert manifest["config"]["solver"] == config_to_dict(cfg)["solver"]
+    assert manifest["config"]["fixed_tuning"] is None
 
 
 def test_manifest_written_with_config(tmp_path):
@@ -644,8 +688,7 @@ def test_summarize_horizon_grouping_reports_rate_fit(tmp_path):
     manifest = {
         "schema_version": 1,
         "config": config_to_dict(cfg),
-        "tuning_used": {"c_op": 1.0, "c_one": 1.0, "gamma_value": 1.0,
-                        "explicit_lambdas": None},
+        "tuning_used": {"c_op": 1.0, "c_one": 1.0, "gamma_value": 1.0},
     }
     (tmp_path / "planted2_manifest.json").write_text(json.dumps(manifest))
 
@@ -690,11 +733,10 @@ def test_cli_preset_run_summarize(tmp_path, capsys):
     # shrink drastically for the smoke test
     doc.update(
         d=4, r=1, s=4, t_sweep=[20.0, 40.0], delta_n=0.1, substeps=2,
-        replicates=2, calibrate=False, name="cli_smoke",
-        output_dir=str(tmp_path),
+        replicates=2, name="cli_smoke", output_dir=str(tmp_path),
+        fixed_tuning={"c_op": TINY_TUNING.c_op, "c_one": TINY_TUNING.c_one},
     )
     doc["regime"]["sigma"] = np.eye(4).tolist()
-    doc["tuning"]["explicit_lambdas"] = [0.02, 0.01]
     cfg_path.write_text(json.dumps(doc))
 
     rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])

@@ -63,15 +63,17 @@ def test_solve_runs_one_eigh_per_prox_step(monkeypatch):
     assert calls["svd"] == 1
 
 
-def _reference_solve(ctx, lambdas, cfg):
+def _reference_solve(ctx, lambdas, cfg, start=None):
     """The solver loop as it was before the loss and gradient shared one
     product: loss and gradient each recompute a @ c_n through the validating
     public contrast functions.  Kept as the oracle of `solve`; also returns
     how often the line search shrank the step."""
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     d, dn = ctx.d, ctx.delta_n
-    l_cur = np.zeros((d, d)) if cfg.l_init is None else np.array(cfg.l_init, dtype=float)
-    s_cur = np.zeros((d, d)) if cfg.s_init is None else np.array(cfg.s_init, dtype=float)
+    if start is None:
+        l_cur, s_cur = np.zeros((d, d)), np.zeros((d, d))
+    else:
+        l_cur, s_cur = (np.array(m, dtype=float) for m in start)
     lip = 2.0 * dn * dn * float(np.linalg.eigvalsh(ctx.c_n)[-1])
     tau = 1.0 / lip if lip > 0 else 1.0
     f_cur = loss(ctx, l_cur + s_cur) + lam_star * nuclear_norm(l_cur) + lam_one * l1_norm(s_cur)
@@ -143,11 +145,12 @@ def test_solve_matches_reference_loop(start):
         _, ctx = make_ctx(d=d, n=600, seed=100 + k)
         lam = tune_lambdas(d, ctx.n * ctx.delta_n, TuningConfig(c_op=0.02, c_one=0.005))
         cfg = SolverConfig(max_iters=400)
+        pair = None
         if start == "warm":
             prev = solve(ctx, (2.0 * lam[0], 2.0 * lam[1]), cfg)
-            cfg = replace(cfg, l_init=prev.l_hat, s_init=prev.s_hat)
-        got = solve(ctx, lam, cfg)
-        want, shrinks = _reference_solve(ctx, lam, cfg)
+            pair = (prev.l_hat, prev.s_hat)
+        got = solve(ctx, lam, cfg, start=pair)
+        want, shrinks = _reference_solve(ctx, lam, cfg, start=pair)
         backtracks += shrinks
         np.testing.assert_array_equal(got.l_hat, want.l_hat)
         np.testing.assert_array_equal(got.s_hat, want.s_hat)
@@ -171,11 +174,13 @@ def test_tune_lambdas_formula():
 
 
 def test_tune_lambdas_override_and_scaling():
-    assert tune_lambdas(10, 100.0, TuningConfig(explicit_lambdas=(0.1, 0.2))) == (0.1, 0.2)
     a = tune_lambdas(10, 100.0, TuningConfig())
     b = tune_lambdas(10, 200.0, TuningConfig())
     assert b[0] == pytest.approx(a[0] / math.sqrt(2))
     assert b[1] == pytest.approx(a[1] / math.sqrt(2))
+    # a configured gamma overrides the regime's factor
+    c = tune_lambdas(10, 100.0, TuningConfig(gamma_value=4.0))
+    assert c == pytest.approx((2.0 * a[0], 2.0 * a[1]))
     with pytest.raises(ValueError):
         tune_lambdas(1, 100.0, TuningConfig())
     with pytest.raises(ValueError):
@@ -250,7 +255,7 @@ def test_objective_trace_monotone_both_modes():
     lam = tune_lambdas(ctx.d, ctx.n * ctx.delta_n, TuningConfig(c_op=0.01, c_one=0.003))
     cold = solve(ctx, lam, SolverConfig(max_iters=300))
     prev = solve(ctx, (2.0 * lam[0], 2.0 * lam[1]), SolverConfig(max_iters=300))
-    warm = solve(ctx, lam, SolverConfig(max_iters=300, l_init=prev.l_hat, s_init=prev.s_hat))
+    warm = solve(ctx, lam, SolverConfig(max_iters=300), start=(prev.l_hat, prev.s_hat))
     for res in (cold, warm):
         assert len(res.objective_trace) > 2
         diffs = np.diff(res.objective_trace)
@@ -296,15 +301,16 @@ def test_moderate_lambda_error_tracks_penalty_scale():
         lambda: TuningConfig(c_op=math.nan),
         lambda: TuningConfig(c_one=math.inf),
         lambda: TuningConfig(gamma_value=math.nan),
-        lambda: TuningConfig(explicit_lambdas=(math.nan, 1.0)),
-        lambda: TuningConfig(explicit_lambdas=(1.0, math.inf)),
+        lambda: solve(make_ctx(seed=5, n=50)[1], (math.nan, 1.0)),
+        lambda: solve(make_ctx(seed=5, n=50)[1], (1.0, math.inf)),
     ],
     ids=["tol-nan", "tol-inf", "c_op-nan", "c_one-inf", "gamma-nan", "lambda-nan", "lambda-inf"],
 )
 def test_nonfinite_settings_rejected(settings):
     # NaN compares false, so a `<= 0` check lets it through; a NaN tol would
-    # never stop a solve, and NaN penalty constants would make every row diverge
-    with pytest.raises(ValueError, match="must be finite and positive"):
+    # never stop a solve, and NaN penalty constants or levels would make every
+    # row diverge (penalty levels may be zero, so theirs reads "nonnegative")
+    with pytest.raises(ValueError, match="must be finite and (positive|nonnegative)"):
         settings()
 
 
@@ -319,7 +325,7 @@ def test_divergence_error_on_nonfinite_start():
     _, ctx = make_ctx(seed=6, n=50)
     huge = np.full((ctx.d, ctx.d), 1e200)
     with pytest.raises(DivergenceError):
-        solve(ctx, (0.1, 0.1), SolverConfig(l_init=huge, s_init=huge))
+        solve(ctx, (0.1, 0.1), start=(huge, huge))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -355,9 +361,12 @@ def test_nonfinite_trial_point_is_divergence():
     ],
 )
 def test_malformed_warm_start_rejected(field, value):
+    # `field` names the bad block of the start pair (l_init, s_init)
     _, ctx = make_ctx(seed=6, n=50)
+    zero = np.zeros((ctx.d, ctx.d))
+    start = (value, zero) if field == "l_init" else (zero, value)
     with pytest.raises(ValueError, match=field):
-        solve(ctx, (0.1, 0.1), SolverConfig(**{field: value}))
+        solve(ctx, (0.1, 0.1), start=start)
 
 
 def test_scaling_covariance_of_argmin():
