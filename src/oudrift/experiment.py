@@ -527,8 +527,12 @@ def run_experiment(
     tuning and no pilot runs; otherwise it is calibrated (`calibrate_tuning`).
     When every calibration pilot fails, the sweep runs with the default
     constants and gamma_factor(regime, delta_n); the manifest lists the
-    failed pilots.  Returns the results path.
+    failed pilots.  Returns the results path.  parallel is the number of
+    worker processes (1 runs the rows in this process); below 1 it raises
+    ValueError before any work.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     target = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
 
@@ -751,12 +755,16 @@ def _cast(hint, value, key: str):
     if is_dataclass(hint):
         return _from_json(hint, value, key + ".")
     try:
-        if hint is np.ndarray:
-            return np.array(value, dtype=float)
         # a JSON true is an int to Python, so int() and float() would take
-        # it as 1; int() would take 2.9 as 2, and str() would take anything
+        # it as 1; int() would take 2.9 as 2, and str() would take anything;
+        # int(), float() and np.array() would parse a string, tuple() split it
         if hint is str and not isinstance(value, str):
             raise ValueError(f"expected a string, got {value!r}")
+        if hint is not str and isinstance(value, str):
+            kind = {int: "an integer", float: "a number"}.get(hint, "a list")
+            raise ValueError(f"invalid literal {value!r}: expected {kind}, not a string")
+        if hint is np.ndarray:
+            return np.array(value, dtype=float)
         if hint is float and isinstance(value, bool):
             raise ValueError(f"expected a number, got {value!r}")
         if hint is int and (

@@ -196,9 +196,10 @@ def _singular_value_threshold(m: np.ndarray, lam: float) -> tuple:
     Method: no SVD.  For p >= q (a wide input is transposed), the Gram
     eigendecomposition m^T m = V diag(sigma^2) V^T gives B = m V, whose
     columns b_k are orthogonal with norms sigma_k, and the result is the sum
-    of (1 - lam / sigma_k) b_k v_k^T over sigma_k > lam.  Taking sigma_k as a
-    column norm keeps it accurate to about eps * sigma_max; the square root
-    of the eigenvalue would be accurate only to about sqrt(eps) * sigma_max.
+    of w_k b_k v_k^T with weights w_k = max(sigma_k - lam, 0) / sigma_k (0
+    where sigma_k = 0), one product (B * w) V^T.  Taking sigma_k as a column
+    norm keeps it accurate to about eps * sigma_max; the square root of the
+    eigenvalue would be accurate only to about sqrt(eps) * sigma_max.
     """
     wide = m.shape[0] < m.shape[1]
     if wide:
@@ -206,11 +207,11 @@ def _singular_value_threshold(m: np.ndarray, lam: float) -> tuple:
     _, v = np.linalg.eigh(m.T @ m)
     b = m @ v
     sigma = np.sqrt(np.add.reduce(b * b, axis=0))  # np.linalg.norm's reduction
-    keep = sigma > lam
-    out = (b[:, keep] * (1.0 - lam / sigma[keep])) @ v[:, keep].T
+    shrunk = np.maximum(sigma - lam, 0.0)
+    w = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+    out = (b * w) @ v.T
     if wide:
         out = out.T
-    shrunk = np.maximum(sigma - lam, 0.0)
     shrunk.sort()
     return out, shrunk[::-1]
 

@@ -7,8 +7,9 @@ The problem is
 with the localized contrast as the smooth part.  The smooth gradient depends
 on the pair only through the sum, so one gradient evaluation feeds both
 per-block prox steps (singular value thresholding for L, soft thresholding
-for S).  Momentum acceleration is restarted whenever it would increase the
-objective, so the recorded objective trace is non-increasing.
+for S).  Each pair step is followed by one step on S alone, which costs no
+eigendecomposition.  Momentum acceleration is restarted whenever it would
+increase the objective, so the recorded objective trace is non-increasing.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ def _start(value, name: str, d: int) -> np.ndarray:
     return m
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product <a, b> of two contiguous arrays, as one BLAS dot."""
+    return float(a.ravel() @ b.ravel())
+
+
 def _prox_step(l_pt, s_pt, g, tau, lam_star, lam_one):
     """One prox-gradient step on both blocks; also returns ||l_new||_*.
     Calls the unchecked prox kernels: the inputs must be finite."""
@@ -177,14 +183,37 @@ def _backtracked_step(ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, i
             raise DivergenceError(f"objective non-finite at iteration {iteration}")
         bound = (
             loss_pt
-            + float((g * dl).sum()) + float((g * ds).sum())
-            + (float((dl * dl).sum()) + float((ds * ds).sum())) / (2.0 * tau)
+            + _dot(g, dl) + _dot(g, ds)
+            + (_dot(dl, dl) + _dot(ds, ds)) / (2.0 * tau)
         )
         if loss_new <= bound + 1e-14 * max(1.0, abs(bound)):
             break
         tau *= 0.5
     f_new = loss_new + lam_star * nuc_new + lam_one * float(np.abs(s_new).sum())
     return l_new, s_new, ac_new, loss_new, f_new, tau
+
+
+def _sparse_step(ctx, lam_one, s, ac, loss_s, f, tau):
+    """One prox-gradient step on the sparse block alone, the low-rank block
+    held fixed, from a pair whose sum has product ac with c_n, smooth loss
+    loss_s and objective f.  tau must be at most the S-only inverse
+    Lipschitz constant 1 / (2 delta_n^2 max-eig(c_n)), so the step needs no
+    line search.  The new loss follows from the exact quadratic expansion
+    loss(a + ds) = loss(a) + <g, ds> + delta_n^2 <ds c_n, ds>, whose one
+    product ds @ c_n also updates ac.
+
+    Returns (s, ac, loss, objective) after the step when its objective is
+    strictly lower, else the inputs unchanged (a NaN candidate is never
+    lower)."""
+    g = _gradient_given_product(ctx, ac)
+    s_new = _soft_threshold(s - tau * g, tau * lam_one)
+    ds = s_new - s
+    dc = ds @ ctx.c_n
+    dloss = _dot(g, ds) + ctx.delta_n * ctx.delta_n * _dot(dc, ds)
+    f_new = f + dloss + lam_one * (float(np.abs(s_new).sum()) - float(np.abs(s).sum()))
+    if f_new < f:
+        return s_new, ac + dc, loss_s + dloss, f_new
+    return s, ac, loss_s, f
 
 
 def solve(
@@ -199,11 +228,15 @@ def solve(
     from tau = 1 / (2 delta_n^2 max-eig(c_n)), twice the inverse Lipschitz
     constant of the pair problem.  A step from the extrapolated point that
     raises the objective restarts the momentum and is retaken from the
-    current iterate, so the objective trace is non-increasing.  Stops when
-    the relative objective decrease falls below cfg.tol, except that a
-    momentum step which does not decrease the objective restarts the
-    momentum instead: only a step from the current iterate may stop on a
-    tie.
+    current iterate, so the objective trace is non-increasing.  Each
+    accepted pair step is followed by exactly one prox-gradient step on the
+    sparse block alone at the S-only inverse Lipschitz constant
+    1 / (2 delta_n^2 max-eig(c_n)) (`_sparse_step`), kept only when it
+    lowers the objective strictly; an iteration is the two together.  Stops
+    when the iteration's relative objective decrease falls below cfg.tol,
+    except that a momentum step which does not decrease the objective
+    restarts the momentum instead: only a step from the current iterate may
+    stop on a tie.
 
     The iteration starts from start = (l_init, s_init), zeros when start
     is None; each block must be a finite (d, d) matrix (ValueError naming
@@ -213,14 +246,17 @@ def solve(
     the objective is non-finite at the start, at an extrapolated point or
     at a trial point, or when a gradient overflows.
 
-    Cost per step: one Gram eigendecomposition per prox step (the loop
-    calls the unchecked prox kernels), one product a @ c_n per evaluated
-    point, shared by the loss and the gradient there (the loss is exactly
-    quadratic; a step from the current iterate reuses the product the
-    previous step computed), and plain array passes.  Element-wise
-    validation happens only at the public boundary (the start and the
-    initial objective); in the loop, a scalar finiteness check of the loss
-    at each start and trial point keeps the kernels' inputs finite.
+    Cost per iteration: one Gram eigendecomposition per pair prox step (the
+    loop calls the unchecked prox kernels) and none for the sparse step; one
+    product a @ c_n per evaluated point of a pair step, shared by the loss
+    and the gradient there (the loss is exactly quadratic; a step from the
+    current iterate reuses the product the previous iteration left); one
+    product ds @ c_n for the sparse step, which gives its loss by the exact
+    quadratic expansion and updates the product; inner products as BLAS
+    dots, and plain array passes.  Element-wise validation happens only at
+    the public boundary (the start and the initial objective); in the loop,
+    a scalar finiteness check of the loss at each start and trial point
+    keeps the kernels' inputs finite.
     """
     lam_star, lam_one = float(lambdas[0]), float(lambdas[1])
     if not (0 <= lam_star < math.inf and 0 <= lam_one < math.inf):
@@ -233,8 +269,10 @@ def solve(
     l_cur = _start(l_init, "l_init", d)
     s_cur = _start(s_init, "s_init", d)
 
+    # the S-only inverse Lipschitz constant: the sparse step's fixed step
+    # and the pair step's first trial
     lip = 2.0 * dn * dn * float(ctx.c_n_eigvals[-1])
-    tau = 1.0 / lip if lip > 0 else 1.0
+    tau_s = tau = 1.0 / lip if lip > 0 else 1.0
 
     # the smooth part at the current iterate: its product with c_n and loss
     a_cur = l_cur + s_cur
@@ -270,6 +308,9 @@ def solve(
             l_new, s_new, ac_new, loss_new, f_new, tau = _backtracked_step(
                 ctx, lam_star, lam_one, l_cur, s_cur, ac_cur, loss_cur, tau, it
             )
+        s_new, ac_new, loss_new, f_new = _sparse_step(
+            ctx, lam_one, s_new, ac_new, loss_new, f_new, tau_s
+        )
 
         l_prev, s_prev = l_cur, s_cur
         l_cur, s_cur, ac_cur, loss_cur = l_new, s_new, ac_new, loss_new

@@ -178,6 +178,36 @@ def test_localization_rule_rejects_out_of_range(tmp_path, capsys, key, value):
     _assert_run_rejects(tmp_path, capsys, doc, key)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # tuple() would split a string into its characters: (2.0, 5.0)
+        ("t_sweep", "25", "config key 't_sweep': invalid literal '25': expected a list"),
+        ("risk_multipliers", "15", "config key 'risk_multipliers': invalid literal '15'"),
+        # int() and float() would parse a string
+        ("d", "10", "config key 'd': invalid literal '10': expected an integer"),
+        ("delta_n", "0.1", "config key 'delta_n': invalid literal '0.1': expected a number"),
+    ],
+)
+def test_string_for_non_string_field_rejected(tmp_path, capsys, key, value, message):
+    doc = config_to_dict(regime_preset("bounded"))
+    doc[key] = value
+    _assert_run_rejects(tmp_path, capsys, doc, message)
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_run_experiment_rejects_parallel_below_one(tmp_path, capsys, parallel):
+    cfg = tiny_config(tmp_path)
+    with pytest.raises(ValueError, match=f"parallel must be >= 1, got {parallel}"):
+        run_experiment(cfg, parallel=parallel, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    argv = ["run", "--config", str(path), "--parallel", str(parallel), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: parallel must be >= 1")
+
+
 def test_config_round_trip_keeps_fixed_tuning_null():
     base = regime_preset("bounded")
     doc = json.loads(json.dumps(config_to_dict(base)))
