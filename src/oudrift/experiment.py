@@ -82,6 +82,9 @@ _SPECTRAL_FLOOR = 0.5
 # place the certificate thresholds (`calibrate_tuning`, stage 1).
 _CALIBRATION_QUANTILE = 0.975
 _CALIBRATION_SAFETY = 1.25
+# Stop target of the risk-stage solves (`calibrate_tuning`, stage 2): they
+# only rank multipliers a factor 2 apart, which 1e-6 leaves unchanged.
+_CALIBRATION_TOL = 1e-6
 
 # Failures of one replicate (or calibration pilot): flagged, never fatal.
 _REPLICATE_ERRORS = (
@@ -323,6 +326,13 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     logged warning, when none scores a finite risk).  gamma is
     gamma_factor(cfg.regime, cfg.delta_n); cfg.fixed_tuning is not read.
 
+    Stage 2's solves stop at tol = max(cfg.solver.tol, _CALIBRATION_TOL),
+    so a looser caller tol still wins: the solves only rank multipliers a
+    factor 2 apart, and steps that take the relative objective decrease
+    below 1e-6 do not change that ranking.  The risks and iterations of
+    risk_curve come from these solves.  Replicates solve at cfg.solver
+    unchanged (`run_single`).
+
     The multipliers, in their configured order (largest first by default),
     form a continuation path: each pilot's solve at a multiplier starts from
     that pilot's most recent solution (the first from zero), which cuts the
@@ -370,6 +380,7 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     best_mult = cfg.risk_multipliers[0]
     best_risk = math.inf
     risk_curve = []
+    solver_cfg = replace(cfg.solver, tol=max(cfg.solver.tol, _CALIBRATION_TOL))
     starts = [None] * len(pilots)  # per pilot: its last (l_hat, s_hat), if any
     for mult in cfg.risk_multipliers:
         tun = replace(cert, c_op=cert.c_op * mult, c_one=cert.c_one * mult)
@@ -378,7 +389,7 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
         iterations = 0
         for k, (model, ctx) in enumerate(pilots):
             try:
-                result = solve(ctx, lambdas, cfg.solver, start=starts[k])
+                result = solve(ctx, lambdas, solver_cfg, start=starts[k])
             except DivergenceError as exc:
                 logger.warning("calibration multiplier %g scored inf: %s", mult, exc)
                 risk = math.inf

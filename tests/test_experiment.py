@@ -434,17 +434,17 @@ def calibrated_config(tmp_path, **overrides) -> ExperimentConfig:
 
 
 def _record_solves(monkeypatch, fail_at=()):
-    """Record (ctx, start, result) of each solve; the calls numbered in
-    fail_at raise DivergenceError instead (result None)."""
+    """Record (ctx, start, result, solver config) of each solve; the calls
+    numbered in fail_at raise DivergenceError instead (result None)."""
     real = experiment.solve
     calls = []
 
     def recording(ctx, lambdas, cfg, start=None):
         if len(calls) in fail_at:
-            calls.append((ctx, start, None))
+            calls.append((ctx, start, None, cfg))
             raise DivergenceError("forced")
         result = real(ctx, lambdas, cfg, start=start)
-        calls.append((ctx, start, result))
+        calls.append((ctx, start, result, cfg))
         return result
 
     monkeypatch.setattr(experiment, "solve", recording)
@@ -459,19 +459,54 @@ def test_calibration_warm_starts_each_pilot_from_its_last_solution(tmp_path, mon
     assert len(calls) == pilots * len(cfg.risk_multipliers)
     for k in range(pilots):
         own = calls[k::pilots]  # multiplier-outer: pilot k's solves, largest multiplier first
-        assert all(ctx is own[0][0] for ctx, _, _ in own)
+        assert all(ctx is own[0][0] for ctx, *_ in own)
         assert own[0][1] is None
-        for (_, _, prev), (_, start, _) in zip(own, own[1:]):
+        for (_, _, prev, _), (_, start, _, _) in zip(own, own[1:]):
             assert start[0] is prev.l_hat and start[1] is prev.s_hat
 
     # replicates never start from a pilot's solution: they start from (0, A_LS)
     del calls[:]
     experiment.run_single(cfg, calib, 20.0, 0)
     assert len(calls) == 1
-    ctx, start, _ = calls[0]
+    ctx, start, _, _ = calls[0]
     assert np.array_equal(start[0], np.zeros((cfg.d, cfg.d)))
     a_ls = -ctx.m1 @ np.linalg.inv(ctx.c_n) / ctx.delta_n
     np.testing.assert_allclose(start[1], a_ls, rtol=1e-10, atol=0)
+
+
+def test_calibration_solves_at_its_own_target_and_replicates_at_the_config(
+    tmp_path, monkeypatch
+):
+    calls = _record_solves(monkeypatch)
+    for tol in (1e-10, 1e-8, 1e-4):  # tighter than the target, the default, looser
+        cfg = calibrated_config(tmp_path, solver=SolverConfig(max_iters=700, tol=tol))
+        del calls[:]
+        calib = experiment.calibrate_tuning(cfg)
+        assert len(calls) == cfg.calibration_reps * len(cfg.risk_multipliers)
+        target = replace(cfg.solver, tol=max(tol, experiment._CALIBRATION_TOL))
+        assert all(solver_cfg == target for *_, solver_cfg in calls)
+        assert target.tol == (1e-4 if tol == 1e-4 else experiment._CALIBRATION_TOL)
+
+        # replicates solve at the configured solver, the very object
+        del calls[:]
+        experiment.run_single(cfg, calib, 20.0, 0)
+        assert len(calls) == 1 and calls[0][3] is cfg.solver
+
+
+@pytest.mark.parametrize("preset", ["bounded", "polymoment"])
+def test_calibration_target_keeps_the_pick(preset, monkeypatch):
+    # the multiplier picked from solves at the calibration target is the
+    # one picked from solves at the replicates' tol
+    target = experiment._CALIBRATION_TOL
+    for seed_base in range(3):
+        cfg = replace(
+            regime_preset(preset), seed_base=seed_base, calibration_reps=6, t_sweep=(250.0,)
+        )
+        picks = []
+        for tol in (target, cfg.solver.tol):
+            monkeypatch.setattr(experiment, "_CALIBRATION_TOL", tol)
+            picks.append(experiment.calibrate_tuning(cfg).risk_multiplier)
+        assert picks[0] == picks[1]
 
 
 @pytest.mark.parametrize("preset", ["continuous", "polymoment"])
@@ -577,7 +612,7 @@ def test_calibration_diverged_pilot_resumes_from_last_success(tmp_path, monkeypa
     assert [e["multiplier"] for e in curve] == list(cfg.risk_multipliers)
     assert curve[1]["risk"] is None
     assert [e["iterations"] for e in curve] == [
-        sum(r.iterations for _, _, r in group if r is not None)
+        sum(r.iterations for _, _, r, _ in group if r is not None)
         for group in (first, second, third)
     ]
     scored = [e for e in curve if e["risk"] is not None]
@@ -642,7 +677,7 @@ def test_manifest_records_risk_curve_with_null_for_divergence(tmp_path, monkeypa
     assert [e["multiplier"] for e in curve] == list(cfg.risk_multipliers)
     assert curve[0] == {"multiplier": 1.0, "risk": None, "iterations": 0}
     assert sum(e["iterations"] for e in curve) == sum(
-        r.iterations for _, _, r in calls[: 1 + 3 * (len(curve) - 1)] if r is not None
+        r.iterations for _, _, r, _ in calls[: 1 + 3 * (len(curve) - 1)] if r is not None
     )
     # the warm starts stay out of the recorded configuration
     assert manifest["config"]["solver"] == config_to_dict(cfg)["solver"]
