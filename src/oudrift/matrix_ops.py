@@ -176,8 +176,10 @@ def _check_level(lam) -> None:
 
 def _soft_threshold(m: np.ndarray, lam: float) -> np.ndarray:
     """soft_threshold's kernel, unchecked: m a finite 2-D float array, lam a
-    finite nonnegative level."""
-    return np.sign(m) * np.maximum(np.abs(m) - lam, 0.0)
+    finite nonnegative level.  m - clip(m, -lam, lam) equals
+    sign(m) * max(|m| - lam, 0) up to the sign of zero, in two array passes
+    (the method form skips np.clip's dispatch, which matters at small d)."""
+    return m - m.clip(-lam, lam)
 
 
 def soft_threshold(m, lam: float) -> np.ndarray:
@@ -197,7 +199,9 @@ def _singular_value_threshold(m: np.ndarray, lam: float) -> tuple:
     eigendecomposition m^T m = V diag(sigma^2) V^T gives B = m V, whose
     columns b_k are orthogonal with norms sigma_k, and the result is the sum
     of w_k b_k v_k^T with weights w_k = max(sigma_k - lam, 0) / sigma_k (0
-    where sigma_k = 0), one product (B * w) V^T.  Taking sigma_k as a column
+    where sigma_k = 0), one product (B * w) V^T over the columns from the
+    first nonzero weight on: eigh's eigenvalues ascend, so those are the
+    last columns, and the others add nothing.  Taking sigma_k as a column
     norm keeps it accurate to about eps * sigma_max; the square root of the
     eigenvalue would be accurate only to about sqrt(eps) * sigma_max.
     """
@@ -209,7 +213,9 @@ def _singular_value_threshold(m: np.ndarray, lam: float) -> tuple:
     sigma = np.sqrt(np.add.reduce(b * b, axis=0))  # np.linalg.norm's reduction
     shrunk = np.maximum(sigma - lam, 0.0)
     w = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
-    out = (b * w) @ v.T
+    kept = w.nonzero()[0]
+    lo = kept[0] if kept.size else w.size
+    out = (b[:, lo:] * w[lo:]) @ v[:, lo:].T
     if wide:
         out = out.T
     shrunk.sort()

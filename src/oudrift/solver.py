@@ -160,7 +160,7 @@ def _backtracked_step(ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, i
     """A prox-gradient step from (l_pt, s_pt), given their sum's product
     ac_pt with c_n and smooth loss loss_pt; tau halves until the new pair's
     loss lies under the quadratic upper bound.  Returns the new pair, its
-    product, smooth loss and objective, and the accepted tau.
+    product, smooth loss and objective, the accepted tau and ||s_new||_1.
 
     A finite loss at a point makes the pair and its product finite, so
     checking the scalar loss at the start point and at each trial point
@@ -189,14 +189,15 @@ def _backtracked_step(ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, i
         if loss_new <= bound + 1e-14 * max(1.0, abs(bound)):
             break
         tau *= 0.5
-    f_new = loss_new + lam_star * nuc_new + lam_one * float(np.abs(s_new).sum())
-    return l_new, s_new, ac_new, loss_new, f_new, tau
+    l1_new = float(np.abs(s_new).sum())
+    f_new = loss_new + lam_star * nuc_new + lam_one * l1_new
+    return l_new, s_new, ac_new, loss_new, f_new, tau, l1_new
 
 
-def _sparse_step(ctx, lam_one, s, ac, loss_s, f, tau):
+def _sparse_step(ctx, lam_one, s, l1_s, ac, loss_s, f, tau):
     """One prox-gradient step on the sparse block alone, the low-rank block
-    held fixed, from a pair whose sum has product ac with c_n, smooth loss
-    loss_s and objective f.  tau must be at most the S-only inverse
+    held fixed, from a pair whose sparse block s has l1 norm l1_s and whose
+    sum has product ac with c_n, smooth loss loss_s and objective f.  tau must be at most the S-only inverse
     Lipschitz constant 1 / (2 delta_n^2 max-eig(c_n)), so the step needs no
     line search.  The new loss follows from the exact quadratic expansion
     loss(a + ds) = loss(a) + <g, ds> + delta_n^2 <ds c_n, ds>, whose one
@@ -210,7 +211,7 @@ def _sparse_step(ctx, lam_one, s, ac, loss_s, f, tau):
     ds = s_new - s
     dc = ds @ ctx.c_n
     dloss = _dot(g, ds) + ctx.delta_n * ctx.delta_n * _dot(dc, ds)
-    f_new = f + dloss + lam_one * (float(np.abs(s_new).sum()) - float(np.abs(s).sum()))
+    f_new = f + dloss + lam_one * (float(np.abs(s_new).sum()) - l1_s)
     if f_new < f:
         return s_new, ac + dc, loss_s + dloss, f_new
     return s, ac, loss_s, f
@@ -298,18 +299,18 @@ def solve(
             a_pt = l_pt + s_pt
             ac_pt = a_pt @ c_n
             loss_pt = _loss_given_product(ctx, a_pt, ac_pt)
-            l_new, s_new, ac_new, loss_new, f_new, tau = _backtracked_step(
+            l_new, s_new, ac_new, loss_new, f_new, tau, l1_new = _backtracked_step(
                 ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, it
             )
             if f_new > f_cur:  # momentum overshot: restart from the current iterate
                 momentum_step = False
                 t_mom = 1.0
         if not momentum_step:
-            l_new, s_new, ac_new, loss_new, f_new, tau = _backtracked_step(
+            l_new, s_new, ac_new, loss_new, f_new, tau, l1_new = _backtracked_step(
                 ctx, lam_star, lam_one, l_cur, s_cur, ac_cur, loss_cur, tau, it
             )
         s_new, ac_new, loss_new, f_new = _sparse_step(
-            ctx, lam_one, s_new, ac_new, loss_new, f_new, tau_s
+            ctx, lam_one, s_new, l1_new, ac_new, loss_new, f_new, tau_s
         )
 
         l_prev, s_prev = l_cur, s_cur

@@ -479,7 +479,7 @@ def test_calibration_solves_at_its_own_target_and_replicates_at_the_config(
 ):
     calls = _record_solves(monkeypatch)
     for tol in (1e-10, 1e-8, 1e-4):  # tighter than the target, the default, looser
-        cfg = calibrated_config(tmp_path, solver=SolverConfig(max_iters=700, tol=tol))
+        cfg = calibrated_config(tmp_path, solver=SolverConfig(tol=tol))
         del calls[:]
         calib = experiment.calibrate_tuning(cfg)
         assert len(calls) == cfg.calibration_reps * len(cfg.risk_multipliers)

@@ -16,6 +16,7 @@ from oudrift.matrix_ops import (
     singular_value_threshold,
     soft_threshold,
     _singular_value_threshold,
+    _soft_threshold,
 )
 from oudrift.solver import _prox_step
 
@@ -135,6 +136,25 @@ def test_soft_threshold_examples():
     np.testing.assert_allclose(soft_threshold([[0.2]], 0.5), [[0.0]])
     with pytest.raises(ValueError):
         soft_threshold(m, -0.1)
+
+
+def test_soft_threshold_kernel_equals_the_sign_form():
+    # m - clip(m, -lam, lam) and sign(m) * max(|m| - lam, 0) agree entry for
+    # entry (only the sign of a zero may differ, which array_equal ignores),
+    # at the thresholds +-lam and at 0 too
+    rng = np.random.default_rng(13)
+    tiny = np.finfo(float).tiny
+    for lam in (0.0, tiny, 1e-300, 0.37, 1.0, 2.5, 1e300):
+        boundary = np.array([
+            [lam, -lam, 0.0, -0.0],
+            [np.nextafter(lam, np.inf), np.nextafter(-lam, -np.inf), tiny, -tiny],
+            [np.nextafter(lam, 0.0), np.nextafter(-lam, 0.0), 2.0 * lam, -2.0 * lam],
+        ])
+        spread = rng.standard_normal((7, 5)) * max(lam, 1.0)
+        for m in (boundary, spread, 1e-3 * rng.standard_normal((4, 4))):
+            assert np.array_equal(
+                _soft_threshold(m, lam), np.sign(m) * np.maximum(np.abs(m) - lam, 0.0)
+            )
 
 
 def test_soft_threshold_subgradient_condition():

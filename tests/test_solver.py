@@ -197,8 +197,9 @@ def test_sparse_step_follows_every_pair_step_and_never_raises_the_objective(monk
     real = solver._sparse_step
     steps = []
 
-    def recording(ctx, lam_one, s_mat, ac, loss_s, f, tau):
-        out = real(ctx, lam_one, s_mat, ac, loss_s, f, tau)
+    def recording(ctx, lam_one, s_mat, l1_s, ac, loss_s, f, tau):
+        assert l1_s == float(np.abs(s_mat).sum())
+        out = real(ctx, lam_one, s_mat, l1_s, ac, loss_s, f, tau)
         steps.append((f, out))
         return out
 
@@ -232,14 +233,15 @@ def test_sparse_step_is_skipped_unless_strictly_lower():
     zero = np.zeros_like(s_mat)
     ac0 = l_mat @ ctx.c_n
     f0 = loss(ctx, l_mat) + 0.1 * nuclear_norm(l_mat)
-    out = solver._sparse_step(ctx, 1e6, zero, ac0, loss(ctx, l_mat), f0, tau)
+    out = solver._sparse_step(ctx, 1e6, zero, 0.0, ac0, loss(ctx, l_mat), f0, tau)
     assert out[0] is zero and out[1] is ac0 and out[3] == f0
     f = objective(ctx, l_mat, s_mat, (0.1, 0.0))
-    overshoot = solver._sparse_step(ctx, 0.0, s_mat, ac, loss_s, f, 100.0 * tau)
+    l1 = float(np.abs(s_mat).sum())
+    overshoot = solver._sparse_step(ctx, 0.0, s_mat, l1, ac, loss_s, f, 100.0 * tau)
     assert objective(ctx, l_mat, s_mat - 100.0 * tau * gradient(ctx, l_mat + s_mat), (0.1, 0.0)) > f
     assert overshoot[0] is s_mat and overshoot[1] is ac and overshoot[2:] == (loss_s, f)
     # at the Lipschitz step the same candidate lowers the objective
-    assert solver._sparse_step(ctx, 0.0, s_mat, ac, loss_s, f, tau)[3] < f
+    assert solver._sparse_step(ctx, 0.0, s_mat, l1, ac, loss_s, f, tau)[3] < f
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -250,7 +252,7 @@ def test_sparse_step_skips_a_nonfinite_candidate():
     ctx = ContrastContext(d=d, delta_n=1.0, n=1, n_active=1, s0=0.0, m1=np.zeros((d, d)), c_n=np.eye(d))
     s_mat = np.ones((d, d))
     ac = np.full((d, d), 1e308)
-    out = solver._sparse_step(ctx, 0.1, s_mat, ac, 1.0, 2.0, 0.5)
+    out = solver._sparse_step(ctx, 0.1, s_mat, float(d * d), ac, 1.0, 2.0, 0.5)
     assert out[0] is s_mat and out[1] is ac and out[2:] == (1.0, 2.0)
 
 
@@ -268,7 +270,7 @@ def test_sparse_step_satisfies_the_quadratic_upper_bound():
         lam_one = float(rng.uniform(0.0, 1.0))
         f = objective(ctx, l_mat, s_mat, (0.3, lam_one))
         s_new, _, loss_new, f_new = solver._sparse_step(
-            ctx, lam_one, s_mat, a @ ctx.c_n, loss(ctx, a), f, tau
+            ctx, lam_one, s_mat, float(np.abs(s_mat).sum()), a @ ctx.c_n, loss(ctx, a), f, tau
         )
         ds = s_new - s_mat
         bound = loss(ctx, a) + float(np.sum(gradient(ctx, a) * ds)) + float(np.sum(ds * ds)) / (2 * tau)
