@@ -197,9 +197,9 @@ def _backtracked_step(ctx, lam_star, lam_one, l_pt, s_pt, ac_pt, loss_pt, tau, i
 def _sparse_step(ctx, lam_one, s, l1_s, ac, loss_s, f, tau):
     """One prox-gradient step on the sparse block alone, the low-rank block
     held fixed, from a pair whose sparse block s has l1 norm l1_s and whose
-    sum has product ac with c_n, smooth loss loss_s and objective f.  tau must be at most the S-only inverse
-    Lipschitz constant 1 / (2 delta_n^2 max-eig(c_n)), so the step needs no
-    line search.  The new loss follows from the exact quadratic expansion
+    sum has product ac with c_n, smooth loss loss_s and objective f.  tau
+    must be at most the S-only inverse Lipschitz constant
+    1 / (2 delta_n^2 max-eig(c_n)), so the step needs no line search.  The new loss follows from the exact quadratic expansion
     loss(a + ds) = loss(a) + <g, ds> + delta_n^2 <ds c_n, ds>, whose one
     product ds @ c_n also updates ac.
 

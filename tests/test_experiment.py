@@ -478,14 +478,14 @@ def test_calibration_solves_at_its_own_target_and_replicates_at_the_config(
     tmp_path, monkeypatch
 ):
     calls = _record_solves(monkeypatch)
-    for tol in (1e-10, 1e-8, 1e-4):  # tighter than the target, the default, looser
+    target = experiment._CALIBRATION_TOL
+    # a tighter tol than the target and the default give way to it; a looser one is kept
+    for tol, expected in ((1e-10, target), (1e-8, target), (1e-4, 1e-4)):
         cfg = calibrated_config(tmp_path, solver=SolverConfig(tol=tol))
         del calls[:]
         calib = experiment.calibrate_tuning(cfg)
         assert len(calls) == cfg.calibration_reps * len(cfg.risk_multipliers)
-        target = replace(cfg.solver, tol=max(tol, experiment._CALIBRATION_TOL))
-        assert all(solver_cfg == target for *_, solver_cfg in calls)
-        assert target.tol == (1e-4 if tol == 1e-4 else experiment._CALIBRATION_TOL)
+        assert all(solver_cfg == replace(cfg.solver, tol=expected) for *_, solver_cfg in calls)
 
         # replicates solve at the configured solver, the very object
         del calls[:]
