@@ -220,8 +220,10 @@ def oracle_bound_compare(
 
         mean_err(T) ~ c1 * d^2 delta_n^2 + c2 * gamma(T)/T * (r+s) log d
 
-    without intercept (the bias feature is the constant column), and also
-    reports the log-log slope of mean error versus horizon.
+    as a `linear_fit` on the rate feature: at one mesh the bias feature is
+    constant, so c1 is the intercept over (d delta_n)^2 and cannot be told
+    apart from any other constant.  Also reports the log-log slope of mean
+    error versus horizon.
     """
     t_arr = [float(t) for t in t_list]
     if len(set(t_arr)) < 3:
@@ -229,20 +231,12 @@ def oracle_bound_compare(
     if not (len(metrics_list) == len(t_arr) == len(gamma_values)):
         raise ValueError("metrics_list, t_list and gamma_values must align")
     means = np.array([float(np.mean(vals)) for vals in metrics_list])
-    bias_feature = np.full(len(t_arr), (d * delta_n) ** 2)
-    rate_feature = np.array(
-        [g / t * (r + s) * np.log(d) for g, t in zip(gamma_values, t_arr)]
-    )
-    design = np.column_stack([bias_feature, rate_feature])
-    coef, *_ = np.linalg.lstsq(design, means, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((means - fitted) ** 2))
-    ss_tot = float(np.sum((means - np.mean(means)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    rate_feature = [g / t * (r + s) * np.log(d) for g, t in zip(gamma_values, t_arr)]
+    c2, intercept, r2 = linear_fit(rate_feature, means)
     slope, _, _ = linear_fit(np.log(t_arr), np.log(np.maximum(means, 1e-300)))
     return OracleFitReport(
-        c1=float(coef[0]),
-        c2=float(coef[1]),
+        c1=intercept / (d * delta_n) ** 2,
+        c2=c2,
         r_squared=r2,
         slope_log_t=slope,
         horizons=tuple(t_arr),

@@ -41,6 +41,7 @@ from .contrast import (
     gradient,
     localization_from_observations,
 )
+from .matrix_ops import linf_norm, operator_norm
 from .models import GenerationError, generate_drift, lyapunov_stationary_cov
 from .simulate import (
     REGIME_TAGS,
@@ -190,6 +191,9 @@ class ExperimentConfig:
             raise ValueError("t_sweep must be nonempty with finite positive horizons")
         if self.d < 2:
             raise ValueError(f"d must be >= 2 (the penalty rule needs log d > 0), got {self.d}")
+        # s <= d^2 is run_experiment's check: a `replace` may set d before s
+        if not (0 <= self.r <= self.d and self.s >= 0):
+            raise ValueError(f"need 0 <= r <= d and s >= 0, got r={self.r}, s={self.s}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if not 0 < self.delta_n < math.inf:
@@ -287,18 +291,22 @@ class Calibration:
     thresholds sit at the calibration quantile of the gradient dual norms at
     the truth over pilot replicates, which is what the certificate checks
     verify.  solver_tuning scales those constants by the pilot-risk-optimal
-    multiplier and drives the estimator; the quantile constants are known to
-    oversmooth.  risk_curve holds one {"multiplier", "risk", "iterations"}
-    per multiplier tried: the mean pilot squared error (None when a solve
-    diverged) and the solver iterations its pilot solves took.  A fixed
-    tuning is both tunings at multiplier 1.0, with no curve.
+    risk_multiplier and drives the estimator; the quantile constants are
+    known to oversmooth.  risk_curve holds one {"multiplier", "risk",
+    "iterations"} per multiplier tried: the mean pilot squared error (None
+    when a solve diverged) and the solver iterations its pilot solves took.
+    A fixed tuning is both tunings at multiplier 1.0, with no curve.
     """
 
     cert_tuning: TuningConfig
-    solver_tuning: TuningConfig
     risk_multiplier: float = 1.0
     failed_pilots: tuple = ()  # ({"pilot", "seed", "error"}, ...) dropped pilots
     risk_curve: tuple = ()
+
+    @property
+    def solver_tuning(self) -> TuningConfig:
+        tun, mult = self.cert_tuning, self.risk_multiplier
+        return replace(tun, c_op=tun.c_op * mult, c_one=tun.c_one * mult)
 
 
 class CalibrationError(RuntimeError):
@@ -361,9 +369,8 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
             failed.append({"pilot": k, "seed": seed, "error": message})
             continue
         g = gradient(ctx, model.a0)
-        sv = np.linalg.svd(g, compute_uv=False)
-        op_norms.append(float(sv[0]))
-        inf_norms.append(float(np.max(np.abs(g))))
+        op_norms.append(operator_norm(g))
+        inf_norms.append(linf_norm(g))
         pilots.append((model, ctx))
     failed = tuple(failed)
     if not pilots:
@@ -383,8 +390,7 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
     solver_cfg = replace(cfg.solver, tol=max(cfg.solver.tol, _CALIBRATION_TOL))
     starts = [None] * len(pilots)  # per pilot: its last (l_hat, s_hat), if any
     for mult in cfg.risk_multipliers:
-        tun = replace(cert, c_op=cert.c_op * mult, c_one=cert.c_one * mult)
-        lambdas = tune_lambdas(cfg.d, t, tun)
+        lambdas = tune_lambdas(cfg.d, t, Calibration(cert, mult).solver_tuning)
         risk = 0.0
         iterations = 0
         for k, (model, ctx) in enumerate(pilots):
@@ -408,11 +414,8 @@ def calibrate_tuning(cfg: ExperimentConfig) -> Calibration:
             best_mult = float(mult)
     if math.isinf(best_risk):
         logger.warning("no risk multiplier scored a finite pilot risk; using %g", best_mult)
-    solver_tuning = replace(
-        cert, c_op=cert.c_op * best_mult, c_one=cert.c_one * best_mult
-    )
     return Calibration(
-        cert_tuning=cert, solver_tuning=solver_tuning, risk_multiplier=best_mult,
+        cert_tuning=cert, risk_multiplier=best_mult,
         failed_pilots=failed, risk_curve=tuple(risk_curve),
     )
 
@@ -539,23 +542,25 @@ def run_experiment(
     When every calibration pilot fails, the sweep runs with the default
     constants and gamma_factor(regime, delta_n); the manifest lists the
     failed pilots.  Returns the results path.  parallel is the number of
-    worker processes (1 runs the rows in this process); below 1 it raises
-    ValueError before any work.
+    worker processes (1 runs the rows in this process); below 1, or with
+    cfg.s > cfg.d^2, it raises ValueError before any work.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
+    if cfg.s > cfg.d * cfg.d:
+        raise ValueError(f"need s <= d^2, got s={cfg.s}, d={cfg.d}")
     target = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
 
     if cfg.fixed_tuning is not None:
-        calib = Calibration(cfg.fixed_tuning, cfg.fixed_tuning)
+        calib = Calibration(cfg.fixed_tuning)
     else:
         try:
             calib = calibrate_tuning(cfg)
         except CalibrationError as exc:
             logger.warning("%s; sweeping with the default constants", exc)
             tun = TuningConfig(gamma_value=gamma_factor(cfg.regime, cfg.delta_n))
-            calib = Calibration(tun, tun, failed_pilots=exc.failed_pilots)
+            calib = Calibration(tun, failed_pilots=exc.failed_pilots)
 
     jobs = [(cfg, calib, t, rep) for t in cfg.t_sweep for rep in range(cfg.replicates)]
     if parallel > 1:  # both maps yield the rows in job order
@@ -572,11 +577,7 @@ def run_experiment(
     manifest = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "config": config_to_dict(cfg),
-        "tuning_used": {
-            "c_op": calib.solver_tuning.c_op,
-            "c_one": calib.solver_tuning.c_one,
-            "gamma_value": calib.solver_tuning.gamma_value,
-        },
+        "tuning_used": _to_json(calib.solver_tuning),
         "cert_tuning": {
             "c_op": calib.cert_tuning.c_op,
             "c_one": calib.cert_tuning.c_one,
@@ -590,26 +591,24 @@ def run_experiment(
     return results_path
 
 
-def _mean_median_std(values) -> tuple:
-    arr = np.asarray(values, dtype=float)
-    return float(np.mean(arr)), float(np.median(arr)), float(np.std(arr))
-
-
 def summarize(results_path, group_keys: Sequence[str]) -> dict:
     """Group result rows and aggregate risk and certificate frequencies.
 
     Writes `<stem>_summary.csv` and `<stem>_plotdata.csv` (x, y, y_err with
     x the first group key, y the mean squared error) next to the results.
-    Malformed rows are skipped and counted; a group key that is not a
-    column raises ValueError naming it.  When grouping by `t_horizon`
-    with at least 3 horizons, a log-log rate fit and the risk-bound-shape
-    regression (read from the manifest) are included.
+    A row whose `failed` is neither "0" nor empty (nor missing) counts in
+    its group's `failures`; malformed rows are skipped and counted.  A group
+    key that is not a column raises ValueError naming it.  When grouping by
+    `t_horizon` with at least 3 horizons, a log-log rate fit and the
+    risk-bound-shape regression (read from the manifest) of the group means
+    are included.
     """
     results_path = Path(results_path)
     group_keys = list(group_keys)
     if not group_keys:
         raise ValueError("need at least one group key")
-    rows = []
+    columns = ("frob_err_sq", "in_cone", "dual_op_pass", "dual_inf_pass", "rsc_pass")
+    groups = {}  # key -> [rows of the columns' values, failure count]
     skipped = 0
     with open(results_path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -618,25 +617,16 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
             names = ", ".join(map(repr, missing))
             raise ValueError(f"group key(s) {names} not among the columns of {results_path}")
         for raw in reader:
+            key = tuple(raw[k] for k in group_keys)
+            if raw.get("failed") not in ("0", "", None):
+                groups.setdefault(key, [[], 0])[1] += 1
+                continue
             try:
-                if raw.get("failed") not in ("0", 0, "", None):
-                    rows.append({"__failed__": True, **raw})
-                    continue
-                parsed = dict(raw)
-                for key in ("frob_err_sq", "in_cone", "dual_op_pass", "dual_inf_pass", "rsc_pass"):
-                    parsed[key] = float(raw[key])
-                rows.append(parsed)
+                values = [float(raw[c]) for c in columns]
             except (KeyError, TypeError, ValueError):
                 skipped += 1
-
-    groups = {}
-    for row in rows:
-        if row.get("__failed__"):
-            key = tuple(row.get(k, "") for k in group_keys)
-            groups.setdefault(key, {"rows": [], "failures": 0})["failures"] += 1
-            continue
-        key = tuple(row[k] for k in group_keys)
-        groups.setdefault(key, {"rows": [], "failures": 0})["rows"].append(row)
+                continue
+            groups.setdefault(key, [[], 0])[0].append(values)
 
     def _sort_key(key):
         parts = []
@@ -649,24 +639,17 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
 
     summary_rows = []
     for key in sorted(groups, key=_sort_key):
-        bucket = groups[key]
-        entry = dict(zip(group_keys, key))
-        entry["n"] = len(bucket["rows"])
-        entry["failures"] = bucket["failures"]
-        if bucket["rows"]:
-            errs = [r["frob_err_sq"] for r in bucket["rows"]]
-            mean, median, std = _mean_median_std(errs)
+        values, failures = groups[key]
+        entry = {**dict(zip(group_keys, key)), "n": len(values), "failures": failures}
+        if values:
+            err, cone, dual_op, dual_inf, rsc = np.array(values).T
             entry.update(
-                frob_err_sq_mean=mean,
-                frob_err_sq_median=median,
-                frob_err_sq_std=std,
-                cone_pass_rate=float(np.mean([r["in_cone"] for r in bucket["rows"]])),
-                dual_pass_rate=float(
-                    np.mean(
-                        [r["dual_op_pass"] * r["dual_inf_pass"] for r in bucket["rows"]]
-                    )
-                ),
-                rsc_pass_rate=float(np.mean([r["rsc_pass"] for r in bucket["rows"]])),
+                frob_err_sq_mean=float(np.mean(err)),
+                frob_err_sq_median=float(np.median(err)),
+                frob_err_sq_std=float(np.std(err)),
+                cone_pass_rate=float(np.mean(cone)),
+                dual_pass_rate=float(np.mean(dual_op * dual_inf)),
+                rsc_pass_rate=float(np.mean(rsc)),
             )
         summary_rows.append(entry)
 
@@ -674,14 +657,9 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
 
     complete = [e for e in summary_rows if "frob_err_sq_mean" in e]
     if group_keys == ["t_horizon"] and len(complete) >= 3:
-        keyed = {
-            float(key[0]): [r["frob_err_sq"] for r in bucket["rows"]]
-            for key, bucket in groups.items()
-            if bucket["rows"]
-        }
-        t_sorted = sorted(keyed)
-        means = [float(np.mean(keyed[t])) for t in t_sorted]
-        slope, _, r2 = linear_fit(np.log(t_sorted), np.log(means))
+        horizons = [float(e["t_horizon"]) for e in complete]
+        means = [e["frob_err_sq_mean"] for e in complete]
+        slope, _, r2 = linear_fit(np.log(horizons), np.log(means))
         out["slope_log_t"] = slope
         out["slope_r_squared"] = r2
         manifest_path = results_path.with_name(
@@ -692,9 +670,10 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
                 manifest = json.load(fh)
             c = manifest["config"]
             gamma = manifest["tuning_used"]["gamma_value"]
+            # oracle_bound_compare reads only each horizon's mean
             fit = oracle_bound_compare(
-                [keyed[t] for t in t_sorted], c["d"], c["r"], c["s"], t_sorted,
-                [gamma] * len(t_sorted), c["delta_n"],
+                [[m] for m in means], c["d"], c["r"], c["s"], horizons,
+                [gamma] * len(horizons), c["delta_n"],
             )
             out["oracle_fit"] = {
                 "c1": fit.c1,

@@ -173,6 +173,8 @@ class ObservationSet:
     increment_norms_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.delta_n < math.inf:
+            raise ValueError("delta_n must be finite and positive")
         x = np.asarray(self.states, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
             raise ValueError("states must be (n+1, d) with n >= 1")

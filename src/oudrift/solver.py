@@ -29,12 +29,14 @@ from .contrast import (
 from .matrix_ops import (
     _CERT_TOL,
     _RANK_TOL,
+    TangentSpaces,
     _singular_value_threshold,
     _soft_threshold,
     l1_norm,
     linf_norm,
     nuclear_norm,
     operator_norm,
+    project_tl,
 )
 from .simulate import LevyRegime
 
@@ -369,30 +371,23 @@ def check_optimality(
         target = -g / lam_star
         u, sig, vt = np.linalg.svd(result.l_hat, full_matrices=False)
         rank = int(np.sum(sig > _RANK_TOL * sig[0])) if sig.size and sig[0] > 0 else 0
-        if rank == 0:
-            nuc_res = max(0.0, operator_norm(target) - 1.0)
-        else:
-            u_r, vt_r = u[:, :rank], vt[:rank, :]
-            pu = u_r @ u_r.T
-            pv = vt_r.T @ vt_r
-            tangent = pu @ target + target @ pv - pu @ target @ pv
-            ortho = target - tangent
-            nuc_res = operator_norm(tangent - u_r @ vt_r) + max(
-                0.0, operator_norm(ortho) - 1.0
-            )
+        u_r, vt_r = u[:, :rank], vt[:rank, :]  # rank 0: a zero tangent part
+        tangent = project_tl(TangentSpaces(u_r, vt_r.T), target)
+        nuc_res = operator_norm(tangent - u_r @ vt_r) + max(
+            0.0, operator_norm(target - tangent) - 1.0
+        )
     else:
         nuc_res = operator_norm(g)
 
     # l1 block
     if lam_one > 0:
         target = -g / lam_one
-        on = np.abs(result.s_hat) > 0
         res_mat = np.where(
-            on,
+            result.s_hat != 0,
             np.abs(target - np.sign(result.s_hat)),
             np.maximum(np.abs(target) - 1.0, 0.0),
         )
-        l1_res = float(np.max(res_mat)) if res_mat.size else 0.0
+        l1_res = linf_norm(res_mat)
     else:
         l1_res = linf_norm(g)
 

@@ -182,13 +182,16 @@ def test_oracle_bound_compare_planted():
     d, r, s = 10, 2, 5
     t_list = [100.0, 200.0, 400.0, 800.0]
     gammas = [1.0] * 4
-    planted = [
-        [2.0 * g / t * (r + s) * np.log(d)] * 5 for g, t in zip(gammas, t_list)
-    ]
-    fit = oracle_bound_compare(planted, d, r, s, t_list, gammas, delta_n=0.1)
-    assert fit.c2 == pytest.approx(2.0, abs=1e-8)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
-    assert fit.slope_log_t == pytest.approx(-1.0, abs=1e-8)
+    for bias in (0.0, 0.3):  # c1 (d delta_n)^2 recovers the planted bias
+        planted = [
+            [bias + 2.0 * g / t * (r + s) * np.log(d)] * 5 for g, t in zip(gammas, t_list)
+        ]
+        fit = oracle_bound_compare(planted, d, r, s, t_list, gammas, delta_n=0.1)
+        assert fit.c1 * (d * 0.1) ** 2 == pytest.approx(bias, abs=1e-10)
+        assert fit.c2 == pytest.approx(2.0, abs=1e-8)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
+        if bias == 0.0:
+            assert fit.slope_log_t == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_oracle_bound_compare_needs_three_horizons():

@@ -707,15 +707,21 @@ def test_summarize_planted_rows(tmp_path):
     path = tmp_path / "planted_results.csv"
     fields = RESULT_COLUMNS
     rows = []
-    for t, errs in ((100.0, [1.0, 3.0]), (200.0, [2.0])):
+    # an empty `failed` is a good row
+    for t, errs, failed in ((100.0, [1.0, 3.0], "0"), (200.0, [2.0, 2.0], "")):
         for i, e in enumerate(errs):
             row = {c: "0" for c in fields}
             row.update(
                 regime="continuous", d="4", r="1", s="4", t_horizon=str(t),
-                replicate=str(i), failed="0", error="", frob_err_sq=str(e),
+                replicate=str(i), failed=failed, error="", frob_err_sq=str(e),
                 in_cone="1", dual_op_pass="1", dual_inf_pass="0", rsc_pass="1",
             )
             rows.append(row)
+    # a failed row as run_single writes it: identity columns only
+    rows.append({
+        **dict.fromkeys(fields, ""), "regime": "continuous", "t_horizon": "100.0",
+        "replicate": "2", "failed": "1", "error": "SimulationBlowupError: planted",
+    })
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
@@ -729,6 +735,8 @@ def test_summarize_planted_rows(tmp_path):
     assert groups["200.0"]["frob_err_sq_std"] == 0.0
     assert groups["100.0"]["dual_pass_rate"] == 0.0
     assert groups["100.0"]["cone_pass_rate"] == 1.0
+    assert (groups["100.0"]["n"], groups["100.0"]["failures"]) == (2, 1)
+    assert (groups["200.0"]["n"], groups["200.0"]["failures"]) == (2, 0)
     assert out["skipped"] == 0
     assert (tmp_path / "planted_results_summary.csv").exists()
     assert (tmp_path / "planted_results_plotdata.csv").exists()
@@ -840,6 +848,10 @@ def test_experiment_config_validation(tmp_path):
         ({"risk_multipliers": (1.0, math.nan)}, "risk_multipliers must be nonempty and positive"),
         ({"delta_n": math.nan}, "delta_n must be finite and positive"),
         ({"t_sweep": (20.0, math.inf)}, "t_sweep must be nonempty with finite positive horizons"),
+        # generate_drift would reject these only in the first pilot
+        ({"r": 5}, "need 0 <= r <= d and s >= 0, got r=5, s=4"),
+        ({"r": -1}, "need 0 <= r <= d and s >= 0, got r=-1, s=4"),
+        ({"s": -1}, "need 0 <= r <= d and s >= 0, got r=1, s=-1"),
     ]
     # the subweibull rules need log(1/delta_n) > 0; other regimes take any mesh
     subweibull = LevyRegime(tag="subweibull", sigma=np.eye(4), jump_rate=1.0, jump_scale=0.5)
@@ -850,6 +862,11 @@ def test_experiment_config_validation(tmp_path):
         ))
         tiny_config(tmp_path, delta_n=delta_n)
     tiny_config(tmp_path, regime=subweibull, delta_n=0.999)
+    tiny_config(tmp_path, r=0, s=0)
+    tiny_config(tmp_path, r=4, s=16)
     for overrides, message in bad:
         with pytest.raises(ValueError, match=message):
             tiny_config(tmp_path, **overrides)
+    # s > d^2 is rejected when the sweep starts, before the first pilot
+    with pytest.raises(ValueError, match=r"need s <= d\^2, got s=101, d=10"):
+        run_experiment(replace(regime_preset("bounded"), s=101), out_dir=str(tmp_path))

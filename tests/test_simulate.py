@@ -505,6 +505,12 @@ def test_observation_set_rejects_malformed_states(states):
         ObservationSet(states, delta_n=0.1)
 
 
+@pytest.mark.parametrize("delta_n", [float("nan"), 0.0, -0.1, float("inf")])
+def test_observation_set_rejects_bad_mesh(delta_n):
+    with pytest.raises(ValueError, match="delta_n must be finite and positive"):
+        ObservationSet(np.zeros((3, 2)), delta_n=delta_n)
+
+
 def test_path_config_validation():
     with pytest.raises(ValueError):
         PathConfig(delta_n=0.0, n_obs=10)
