@@ -31,7 +31,7 @@ cfg = od.PathConfig(delta_n=0.1, n_obs=2000, substeps=10, seed=123)
 for name, regime in regimes.items():
     obs = od.simulate_path(model, regime, cfg)
     norms = np.sqrt(obs.increment_norms_sq)
-    print(f"{name:12s} T={cfg.horizon:.0f}  mean|dX|={norms.mean():.3f}  "
+    print(f"{name:12s} T={cfg.n_obs * cfg.delta_n:.0f}  mean|dX|={norms.mean():.3f}  "
           f"max|dX|={norms.max():7.3f}")
 
 # the Lyapunov balance predicts the stationary covariance in every regime

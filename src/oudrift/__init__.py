@@ -17,8 +17,6 @@ from .matrix_ops import (
 from .models import (
     DriftModel,
     GenerationError,
-    IncoherenceReport,
-    estimate_incoherence,
     generate_drift,
     lyapunov_stationary_cov,
 )

@@ -66,8 +66,6 @@ class ConeReport:
 class DualBoundReport:
     grad_op_norm: float
     grad_inf_norm: float
-    lambda_star_half: float
-    lambda_one_half: float
     op_pass: bool
     inf_pass: bool
 
@@ -130,8 +128,6 @@ def verify_dual_bounds(
     return DualBoundReport(
         grad_op_norm=g_op,
         grad_inf_norm=g_inf,
-        lambda_star_half=lam_star / 2.0,
-        lambda_one_half=lam_one / 2.0,
         op_pass=bool(g_op <= lam_star / 2.0),
         inf_pass=bool(g_inf <= lam_one / 2.0),
     )
@@ -199,46 +195,34 @@ class OracleFitReport:
     c1: float              # coefficient of the d^2 delta_n^2 bias feature
     c2: float              # coefficient of gamma/T * (r+s) log d
     r_squared: float
-    slope_log_t: float     # log-log slope of mean risk versus horizon
-    horizons: tuple
-    mean_errors: tuple
 
 
 def oracle_bound_compare(
-    metrics_list: Sequence[Sequence[float]],
+    means: Sequence[float],
     d: int,
     r: int,
     s: int,
     t_list: Sequence[float],
-    gamma_values: Sequence[float],
+    gamma: float,
     delta_n: float,
 ) -> OracleFitReport:
     """Regress mean squared risk on the two-term risk-bound shape.
 
-    metrics_list holds, per horizon in t_list, the replicate values of the
-    squared Frobenius error.  The regression fits
+    means holds the mean squared Frobenius error per horizon in t_list, and
+    gamma is gamma(delta_n), one value for every horizon.  The regression
+    fits
 
-        mean_err(T) ~ c1 * d^2 delta_n^2 + c2 * gamma(T)/T * (r+s) log d
+        mean_err(T) ~ c1 * d^2 delta_n^2 + c2 * gamma/T * (r+s) log d
 
     as a `linear_fit` on the rate feature: at one mesh the bias feature is
     constant, so c1 is the intercept over (d delta_n)^2 and cannot be told
-    apart from any other constant.  Also reports the log-log slope of mean
-    error versus horizon.
+    apart from any other constant.
     """
     t_arr = [float(t) for t in t_list]
     if len(set(t_arr)) < 3:
         raise ValueError("need at least 3 distinct horizons")
-    if not (len(metrics_list) == len(t_arr) == len(gamma_values)):
-        raise ValueError("metrics_list, t_list and gamma_values must align")
-    means = np.array([float(np.mean(vals)) for vals in metrics_list])
-    rate_feature = [g / t * (r + s) * np.log(d) for g, t in zip(gamma_values, t_arr)]
+    if len(means) != len(t_arr):
+        raise ValueError("means and t_list must align")
+    rate_feature = [gamma / t * (r + s) * np.log(d) for t in t_arr]
     c2, intercept, r2 = linear_fit(rate_feature, means)
-    slope, _, _ = linear_fit(np.log(t_arr), np.log(np.maximum(means, 1e-300)))
-    return OracleFitReport(
-        c1=intercept / (d * delta_n) ** 2,
-        c2=c2,
-        r_squared=r2,
-        slope_log_t=slope,
-        horizons=tuple(t_arr),
-        mean_errors=tuple(means.tolist()),
-    )
+    return OracleFitReport(c1=intercept / (d * delta_n) ** 2, c2=c2, r_squared=r2)

@@ -541,9 +541,12 @@ def run_experiment(
     tuning and no pilot runs; otherwise it is calibrated (`calibrate_tuning`).
     When every calibration pilot fails, the sweep runs with the default
     constants and gamma_factor(regime, delta_n); the manifest lists the
-    failed pilots.  Returns the results path.  parallel is the number of
-    worker processes (1 runs the rows in this process); below 1, or with
-    cfg.s > cfg.d^2, it raises ValueError before any work.
+    failed pilots.  The manifest is written once the tuning is known, and
+    each row as soon as it and the rows before it are done, so a sweep that
+    stops early leaves its manifest and the rows it finished.  Returns the
+    results path.  parallel is the number of worker processes (1 runs the
+    rows in this process); below 1, or with cfg.s > cfg.d^2, it raises
+    ValueError before any work.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -562,18 +565,6 @@ def run_experiment(
             tun = TuningConfig(gamma_value=gamma_factor(cfg.regime, cfg.delta_n))
             calib = Calibration(tun, failed_pilots=exc.failed_pilots)
 
-    jobs = [(cfg, calib, t, rep) for t in cfg.t_sweep for rep in range(cfg.replicates)]
-    if parallel > 1:  # both maps yield the rows in job order
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_row_job, jobs))
-    else:
-        rows = [_row_job(job) for job in jobs]
-    results_path = target / f"{cfg.name}_results.csv"
-    with open(results_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
     manifest = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "config": config_to_dict(cfg),
@@ -588,6 +579,17 @@ def run_experiment(
     }
     with open(target / f"{cfg.name}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
+
+    jobs = [(cfg, calib, t, rep) for t in cfg.t_sweep for rep in range(cfg.replicates)]
+    results_path = target / f"{cfg.name}_results.csv"
+    with open(results_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
+        writer.writeheader()
+        if parallel > 1:  # both maps yield the rows in job order
+            with ProcessPoolExecutor(max_workers=parallel) as pool:
+                writer.writerows(pool.map(_row_job, jobs))
+        else:
+            writer.writerows(map(_row_job, jobs))
     return results_path
 
 
@@ -659,7 +661,8 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
     if group_keys == ["t_horizon"] and len(complete) >= 3:
         horizons = [float(e["t_horizon"]) for e in complete]
         means = [e["frob_err_sq_mean"] for e in complete]
-        slope, _, r2 = linear_fit(np.log(horizons), np.log(means))
+        # the floor keeps a zero mean from turning the slope into NaN
+        slope, _, r2 = linear_fit(np.log(horizons), np.log(np.maximum(means, 1e-300)))
         out["slope_log_t"] = slope
         out["slope_r_squared"] = r2
         manifest_path = results_path.with_name(
@@ -669,17 +672,15 @@ def summarize(results_path, group_keys: Sequence[str]) -> dict:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
             c = manifest["config"]
-            gamma = manifest["tuning_used"]["gamma_value"]
-            # oracle_bound_compare reads only each horizon's mean
             fit = oracle_bound_compare(
-                [[m] for m in means], c["d"], c["r"], c["s"], horizons,
-                [gamma] * len(horizons), c["delta_n"],
+                means, c["d"], c["r"], c["s"], horizons,
+                manifest["tuning_used"]["gamma_value"], c["delta_n"],
             )
             out["oracle_fit"] = {
                 "c1": fit.c1,
                 "c2": fit.c2,
                 "r_squared": fit.r_squared,
-                "slope_log_t": fit.slope_log_t,
+                "slope_log_t": slope,
             }
 
     stem = results_path.with_suffix("")

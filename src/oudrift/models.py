@@ -16,24 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_ops import (
-    _DENOM_TOL,
-    TangentSpaces,
-    as_matrix,
-    l1_norm,
-    nuclear_norm,
-    numerical_rank,
-    project_tl,
-    project_tl_perp,
-    project_ts_perp,
-)
+from .matrix_ops import TangentSpaces, as_matrix, numerical_rank
 
 __all__ = [
     "DriftModel",
-    "IncoherenceReport",
     "GenerationError",
     "generate_drift",
-    "estimate_incoherence",
     "lyapunov_stationary_cov",
 ]
 
@@ -83,20 +71,6 @@ class DriftModel:
             raise ValueError(f"a0 is not stable (min real eigenvalue {margin:.3g})")
         if abs(margin - self.stability_margin) > 1e-8 * max(1.0, abs(margin)):
             raise ValueError("stability_margin does not match eigenvalues of a0")
-
-
-@dataclass(frozen=True)
-class IncoherenceReport:
-    """Sampled lower bounds for the tangent-space overlap constants.
-
-    Both estimates are maxima over finite test sets, hence lower bounds on
-    the true suprema; `passes` applies the sum-below-one criterion to them
-    (vacuously true when the low-rank part is absent).
-    """
-
-    xi_l_est: float
-    xi_s_est: float
-    passes: bool
 
 
 # Diagonal shifts `generate_drift` tries, each half a spectral floor above the
@@ -181,75 +155,6 @@ def generate_drift(
         tangent=tangent,
         stability_margin=margin,
         seed=seed,
-    )
-
-
-def _basis_ratios_lowrank(ts: TangentSpaces) -> list:
-    """Nuclear-norm leakage ratios of the sparse-support basis matrices."""
-    ratios = []
-    d = ts.dim
-    for i, j in sorted(ts.support):
-        m = np.zeros((d, d))
-        m[i, j] = 1.0
-        ratios.append(nuclear_norm(project_tl_perp(ts, m)))  # ||m||_* = 1
-    return ratios
-
-
-def estimate_incoherence(
-    model: DriftModel, n_samples: int = 200, seed: int = 0
-) -> IncoherenceReport:
-    """Sampled lower bounds for the tangent-overlap constants of the model.
-
-    The low-rank constant is maximized over all sparse-support basis matrices
-    plus `n_samples` random support-restricted matrices; the sparse constant
-    over the low-rank tangent images of all basis matrices plus `n_samples`
-    random tangent elements.  Samples are drawn sequentially, so estimates
-    are non-decreasing in `n_samples` at fixed seed.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    ts = model.tangent
-    d = ts.dim
-    # Two independent streams so estimates are non-decreasing in n_samples.
-    stream_l, stream_s = np.random.SeedSequence(seed).spawn(2)
-    rng_l = np.random.default_rng(stream_l)
-    rng_s = np.random.default_rng(stream_s)
-
-    if ts.rank == 0:
-        # No low-rank part: the split is trivially identifiable.
-        return IncoherenceReport(0.0, 0.0, True)
-
-    support = sorted(ts.support)
-    xi_l = 0.0
-    if support:
-        xi_l = max(_basis_ratios_lowrank(ts))
-        for _ in range(n_samples):
-            m = np.zeros((d, d))
-            for i, j in support:
-                m[i, j] = rng_l.standard_normal()
-            denom = nuclear_norm(m)
-            if denom > _DENOM_TOL:
-                xi_l = max(xi_l, nuclear_norm(project_tl_perp(ts, m)) / denom)
-
-    xi_s = 0.0
-    for i in range(d):
-        for j in range(d):
-            m = np.zeros((d, d))
-            m[i, j] = 1.0
-            n = project_tl(ts, m)
-            denom = l1_norm(n)
-            if denom > _DENOM_TOL:
-                xi_s = max(xi_s, l1_norm(project_ts_perp(ts, n)) / denom)
-    for _ in range(n_samples):
-        n = rng_s.standard_normal((d, ts.rank)) @ ts.v0.T + ts.u0 @ rng_s.standard_normal((d, ts.rank)).T
-        denom = l1_norm(n)
-        if denom > _DENOM_TOL:
-            xi_s = max(xi_s, l1_norm(project_ts_perp(ts, n)) / denom)
-
-    return IncoherenceReport(
-        xi_l_est=float(xi_l),
-        xi_s_est=float(xi_s),
-        passes=bool(xi_l + xi_s < 1.0),
     )
 
 

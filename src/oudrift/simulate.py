@@ -149,10 +149,6 @@ class PathConfig:
         if self.burn_in_time is not None and not 0 <= self.burn_in_time < math.inf:
             raise ValueError("burn_in_time must be finite and nonnegative")
 
-    @property
-    def horizon(self) -> float:
-        return self.n_obs * self.delta_n
-
 
 @dataclass(frozen=True)
 class ObservationSet:

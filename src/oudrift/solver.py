@@ -103,8 +103,8 @@ def gamma_factor(regime: LevyRegime, delta_n: float) -> float:
     log(1/delta_n) > 0), polynomial for p-th moment tails.  Configurable
     placeholder rules; a fixed TuningConfig sets its own gamma_value.
     """
-    if delta_n <= 0:
-        raise ValueError("delta_n must be positive")
+    if not 0 < delta_n < math.inf:
+        raise ValueError("delta_n must be finite and positive")
     if regime.tag in ("continuous", "bounded"):
         return 1.0
     if regime.tag == "subweibull":
@@ -124,8 +124,8 @@ def tune_lambdas(d: int, t_horizon: float, tuning: TuningConfig) -> tuple:
     """
     if d < 2:
         raise ValueError("need d >= 2 for a positive log d")
-    if t_horizon <= 0:
-        raise ValueError("t_horizon must be positive")
+    if not 0 < t_horizon < math.inf:
+        raise ValueError("t_horizon must be finite and positive")
     g = tuning.gamma_value
     lam_star = 2.0 * tuning.c_op * math.sqrt(g * math.log(d) / t_horizon)
     lam_one = 2.0 * tuning.c_one * math.sqrt(2.0 * g * math.log(d) / t_horizon)

@@ -339,6 +339,33 @@ def test_run_experiment_flags_generation_and_divergence_errors(tmp_path, monkeyp
     assert all(r["frob_err_sq"] for r in rows if r["failed"] == "0")
 
 
+def test_run_experiment_keeps_manifest_and_finished_rows_when_a_row_raises(
+    tmp_path, monkeypatch
+):
+    # an error that is not a flagged replicate failure stops the sweep; the
+    # manifest and the rows finished before it are already on disk
+    real = experiment.run_single
+    calls = []
+
+    def patched(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("planted")
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "run_single", patched)
+    cfg = tiny_config(tmp_path)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_experiment(cfg)
+    manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+    assert manifest["config"] == config_to_dict(cfg)
+    with open(tmp_path / "tiny_results.csv") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == RESULT_COLUMNS
+    assert [(r["t_horizon"], r["replicate"]) for r in rows] == [("20.0", "0"), ("20.0", "1")]
+
+
 def test_calibration_without_surviving_pilots_falls_back(tmp_path):
     # every pilot (and every replicate) blows up on this mesh
     cfg = tiny_config(
@@ -768,9 +795,30 @@ def test_summarize_horizon_grouping_reports_rate_fit(tmp_path):
     out = summarize(path, ["t_horizon"])
     assert out["slope_log_t"] == pytest.approx(-1.0, abs=1e-9)
     fit = out["oracle_fit"]
+    assert fit["slope_log_t"] == out["slope_log_t"]  # one log-log fit
     expected_c2 = 8.0 / ((cfg.r + cfg.s) * np.log(cfg.d))
     assert fit["c2"] == pytest.approx(expected_c2, rel=1e-9)
     assert fit["r_squared"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_summarize_slope_is_finite_when_a_horizon_mean_is_zero(tmp_path):
+    # a zero mean is floored before the log (no NaN slope, no warning under
+    # the suite's RuntimeWarning filter); both reported slopes are that fit
+    cfg = tiny_config(tmp_path, t_sweep=(100.0, 200.0, 400.0), name="zero")
+    path = tmp_path / "zero_results.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
+        writer.writeheader()
+        for t, err in zip(cfg.t_sweep, (0.0, 1.0, 0.5)):
+            row = {c: "0" for c in RESULT_COLUMNS}
+            row.update(t_horizon=str(t), failed="0", error="", frob_err_sq=str(err))
+            writer.writerow(row)
+    manifest = {"config": config_to_dict(cfg), "tuning_used": {"gamma_value": 1.0}}
+    (tmp_path / "zero_manifest.json").write_text(json.dumps(manifest))
+
+    out = summarize(path, ["t_horizon"])
+    assert math.isfinite(out["slope_log_t"])
+    assert out["oracle_fit"]["slope_log_t"] == out["slope_log_t"]
 
 
 def test_summarize_skips_malformed_rows(tmp_path):

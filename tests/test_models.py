@@ -4,7 +4,6 @@ import pytest
 from oudrift.matrix_ops import numerical_rank
 from oudrift.models import (
     DriftModel,
-    estimate_incoherence,
     generate_drift,
     lyapunov_stationary_cov,
 )
@@ -108,70 +107,6 @@ def test_drift_model_invariant_checks():
             a0=model.a0 + 1e-3, tangent=model.tangent,
             stability_margin=model.stability_margin,
         )
-
-
-def test_incoherence_degenerate_rank_zero():
-    model = generate_drift(d=4, r=0, s=3, seed=5)
-    report = estimate_incoherence(model, n_samples=10, seed=0)
-    assert (report.xi_l_est, report.xi_s_est) == (0.0, 0.0)
-    assert report.passes
-
-
-def test_incoherence_no_sparse_part():
-    # empty support requires a drift that is stable without a shift:
-    # a full-rank symmetric positive definite low-rank part
-    from oudrift.matrix_ops import TangentSpaces
-
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    l0 = q @ np.diag([2.0, 1.0, 0.5]) @ q.T
-    model = DriftModel(
-        d=3, r=3, s=0, l0=l0, s0=np.zeros((3, 3)), a0=l0,
-        tangent=TangentSpaces(u0=q, v0=q, support=frozenset()),
-        stability_margin=0.5,
-    )
-    report = estimate_incoherence(model, n_samples=20, seed=0)
-    assert report.xi_l_est == 0.0  # no sparse support to leak from
-    assert 0.0 <= report.xi_s_est <= 1.0
-
-
-def test_incoherence_estimates_bounded_and_monotone():
-    model = generate_drift(d=4, r=1, s=2, seed=9)
-    small = estimate_incoherence(model, n_samples=20, seed=3)
-    large = estimate_incoherence(model, n_samples=200, seed=3)
-    for rep in (small, large):
-        assert 0.0 <= rep.xi_l_est <= 1.0
-        assert 0.0 <= rep.xi_s_est <= 1.0
-    # nested sample sets: estimates never decrease
-    assert large.xi_l_est >= small.xi_l_est
-    assert large.xi_s_est >= small.xi_s_est
-    assert large.passes == (large.xi_l_est + large.xi_s_est < 1.0)
-
-
-def test_incoherence_permutation_equivariant():
-    model = generate_drift(d=4, r=1, s=2, seed=11)
-    perm = np.random.default_rng(1).permutation(4)
-    p = np.eye(4)[perm]
-    tangent = model.tangent
-    permuted = DriftModel(
-        d=4,
-        r=model.r,
-        s=model.s,
-        l0=p @ model.l0 @ p.T,
-        s0=p @ model.s0 @ p.T,
-        a0=p @ model.a0 @ p.T,
-        tangent=type(tangent)(
-            u0=p @ tangent.u0,
-            v0=p @ tangent.v0,
-            support=frozenset((perm[i], perm[j]) for i, j in tangent.support),
-        ),
-        stability_margin=model.stability_margin,
-    )
-    a = estimate_incoherence(model, n_samples=3000, seed=2)
-    b = estimate_incoherence(permuted, n_samples=3000, seed=2)
-    # sampled suprema agree once converged; basis-driven parts are exact
-    assert abs(a.xi_l_est - b.xi_l_est) <= 0.05
-    assert abs(a.xi_s_est - b.xi_s_est) <= 0.05
 
 
 def test_lyapunov_scalar_balance():

@@ -520,7 +520,6 @@ def test_path_config_validation():
         PathConfig(delta_n=0.1, n_obs=10, substeps=0)
     with pytest.raises(ValueError):
         PathConfig(delta_n=0.1, n_obs=10, burn_in_time=-1.0)
-    assert PathConfig(delta_n=0.1, n_obs=10).horizon == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -319,6 +319,24 @@ def test_gamma_factor_rules():
         assert isinstance(gamma_factor(regime, 3.0), float)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("tag", ["continuous", "bounded", "subweibull", "polymoment"])
+def test_gamma_factor_rejects_nonfinite_delta_n(tag, value):
+    # NaN and inf pass a `<= 0` check: the constant rules answered 1.0 and
+    # the polymoment rule 0.0
+    regime = LevyRegime(tag=tag, sigma=np.eye(2))
+    with pytest.raises(ValueError, match="delta_n must be finite and positive"):
+        gamma_factor(regime, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tune_lambdas_rejects_nonfinite_horizon(value):
+    # an infinite horizon gave penalties (0, 0), an unpenalized solve, and
+    # NaN gave (NaN, NaN)
+    with pytest.raises(ValueError, match="t_horizon must be finite and positive"):
+        tune_lambdas(4, value, TuningConfig())
+
+
 def test_huge_lambdas_give_zero_solution():
     _, ctx = make_ctx(seed=1)
     g0 = gradient(ctx, np.zeros((ctx.d, ctx.d)))
@@ -395,7 +413,7 @@ def test_moderate_lambda_error_tracks_penalty_scale():
     cfg = PathConfig(delta_n=0.1, n_obs=100, substeps=1, burn_in_time=0.0, seed=0)
     obs = simulate_path(model, regime, cfg, x0=np.full(d, 2.0))
     ctx = build_context(obs, LocalizationConfig(radius_b=1e9, eta=1e9))
-    lam = tune_lambdas(d, cfg.horizon, TuningConfig(c_op=0.005, c_one=0.002))
+    lam = tune_lambdas(d, cfg.n_obs * cfg.delta_n, TuningConfig(c_op=0.005, c_one=0.002))
     res = solve(ctx, lam, SolverConfig(tol=1e-300, max_iters=100000))
     err = float(np.linalg.norm(res.a_hat - model.a0))
     shape = np.sqrt(2 * model.r) * lam[0] + np.sqrt(model.s) * lam[1]
